@@ -1,4 +1,4 @@
-"""Fig. 9-style benchmark: HCube implementation variants Push/Pull/Merge
+"""Fig. 9-style benchmark: HCube implementation variants Push and Pull
 (§V) on query Q2, measuring the communication and computation phases.
 
 Run: pytest benchmarks/bench_hcube_modes.py --benchmark-only
@@ -9,6 +9,7 @@ from benchmarks.common import bench_scale
 from repro.core.adj import relation_dfs
 from repro.core.executor import one_round_join
 from repro.core.query import get_query
+from repro.hcube.shuffle import MODES
 from repro.synth_data import dataset_pdf
 
 
@@ -27,7 +28,7 @@ def setup(spark):
 RESULTS: dict[str, tuple[float, float, int]] = {}
 
 
-@pytest.mark.parametrize("mode", ["push", "pull", "merge"])
+@pytest.mark.parametrize("mode", MODES)
 def test_hcube_mode(spark, benchmark, setup, mode):
     q, rels, schemas = setup
     shares = {"a": 2, "b": 2, "c": 2, "d": 2}

@@ -16,7 +16,6 @@ from repro.baselines.hcubej import run_hcubej  # noqa: E402
 from repro.baselines.sparksql import sparksql_count  # noqa: E402
 from repro.core.adj import ADJConfig, run_adj  # noqa: E402
 from repro.core.cost import default_cost_model  # noqa: E402
-from repro.core.executor import JoinTimeoutError  # noqa: E402
 from repro.core.query import get_query  # noqa: E402
 from repro.synth_data import GRAPH_SCALE, dataset_edges  # noqa: E402
 

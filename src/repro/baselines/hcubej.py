@@ -16,16 +16,10 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.adj import (
-    ADJConfig,
-    PhaseReport,
-    derive_memory,
-    local_db,
-    relation_dfs,
-)
-from repro.core.executor import JoinTimeoutError, one_round_join
+from repro.core.adj import ADJConfig, PhaseReport, relation_dfs
+from repro.core.executor import one_round_join
 from repro.core.query import JoinQuery
-from repro.hcube.shares import RelSpec, optimize_shares
+from repro.hcube.shares import RelSpec, derive_memory, optimize_shares
 
 
 def heuristic_order(query: JoinQuery) -> tuple[str, ...]:
@@ -73,9 +67,7 @@ def run_hcubej(
         edges_rows = edges.toPandas().to_numpy(dtype=np.int64)
     n_edges = int(np.asarray(edges_rows).shape[0])
     specs: list[RelSpec] = [(r.attrs, n_edges) for r in query.relations]
-    mem = cfg.memory_tuples
-    if mem is None:
-        mem = derive_memory(query.attrs, specs, cfg.n_servers, cfg.memory_slack)
+    mem = derive_memory(query.attrs, specs, cfg.n_servers)
     shares = optimize_shares(
         query.attrs, specs, cfg.n_servers, memory_tuples=mem
     )
@@ -85,8 +77,8 @@ def run_hcubej(
 
     rels = relation_dfs(edges, query)
     schemas = {r.name: r.attrs for r in query.relations}
-    try:
-        result, t = one_round_join(
+    report.record_join(
+        one_round_join(
             spark,
             rels,
             schemas,
@@ -97,16 +89,5 @@ def run_hcubej(
             budget_seconds=cfg.budget_seconds,
             cache_entries=cfg.cache_entries,
         )
-        report.communication = t.communication
-        report.computation = t.computation
-        report.result_count = t.result_count
-        report.timed_out = t.timed_out  # wall-clock cap exceeded
-        report.detail["shuffled_tuples"] = t.shuffled_tuples
-        if not cfg.count_only:
-            report.detail["result_df"] = result
-    except JoinTimeoutError as e:
-        report.timed_out = True
-        if e.timings is not None:
-            report.communication = e.timings.communication
-            report.computation = e.timings.computation
+    )
     return report

@@ -25,7 +25,7 @@ Costs returned are in seconds:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +46,6 @@ class CostModel:
     gamma: float  # tuples / second through a Catalyst binary join
     n_servers: int = 16
     memory_tuples: float | None = None
-
-    def with_beta_raw(self, beta_raw: float) -> "CostModel":
-        return replace(self, beta_raw=beta_raw)
 
     # -- paper cost terms --------------------------------------------------
     def shares_for(
@@ -147,8 +144,7 @@ def default_cost_model(
     memory_tuples: float | None = None,
     beta_raw: float | None = None,
 ) -> CostModel:
-    """Fully calibrated cost model for this session. ``beta_raw`` may be
-    refined later from sampling statistics via :meth:`with_beta_raw`."""
+    """Fully calibrated cost model for this session."""
     beta_pre = calibrate_beta_pre()
     return CostModel(
         alpha=calibrate_alpha(spark),

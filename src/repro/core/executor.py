@@ -15,7 +15,7 @@ blocks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,25 +24,10 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
 
-from repro.hcube.shuffle import (
-    hcube_shuffle,
-    n_servers,
-    order_aligned_attrs,
-)
+from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
 from repro.leapfrog.cache import IntersectionCache
 from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
 from repro.leapfrog.trie import Trie
-
-
-class JoinTimeoutError(Exception):
-    """The per-server Leapfrog exceeded its wall-clock budget.
-
-    Carries the phase timings gathered so far in ``self.timings``.
-    """
-
-    def __init__(self, msg: str, timings: "JoinTimings | None" = None):
-        super().__init__(msg)
-        self.timings = timings
 
 
 @dataclass
@@ -54,7 +39,6 @@ class JoinTimings:
     shuffled_tuples: int = 0
     result_count: int | None = None
     timed_out: bool = False
-    extra: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -130,14 +114,14 @@ def one_round_join(
     count_only: bool = True,
     budget_seconds: float | None = None,
     cache_entries: int = 0,
-) -> tuple[int | DataFrame, JoinTimings]:
+) -> tuple[int | DataFrame | None, JoinTimings]:
     """Execute the one-round join; returns result (count or DataFrame of
     tuples over ``order``) plus phase timings.
 
-    On a Leapfrog budget overrun the per-server task raises, the Spark job
-    fails fast (local mode does not retry), and :class:`JoinTimeoutError`
-    is raised with ``timings.timed_out`` set — this reproduces the paper's
-    "> 43200 s" timeout cells at laptop scale.
+    A budget overrun is a result state, not an exception: when a server's
+    Leapfrog passes its deadline the Spark job fails fast (local mode does
+    not retry) and the result is ``None`` with ``timings.timed_out`` set —
+    this reproduces the paper's "> 43200 s" timeout cells at laptop scale.
     """
     order = tuple(order)
     schemas = {k: tuple(v) for k, v in schemas.items()}
@@ -158,7 +142,6 @@ def one_round_join(
         timings.shuffled_tuples = sum(
             (vals or 0) // len(schemas[rel]) for rel, vals in per_rel.items()
         )
-        timings.extra["n_servers"] = n_servers(shares)
 
         worker = _make_worker(
             schemas, order, count_only, budget_seconds, cache_entries
@@ -169,35 +152,30 @@ def one_round_join(
             else ", ".join(f"{a} long" for a in order)
         )
         t1 = time.monotonic()
+        joined = shuffled.groupBy("server").applyInPandas(
+            worker, schema=out_schema
+        )
+        result: int | DataFrame | None
         try:
-            result = shuffled.groupBy("server").applyInPandas(
-                worker, schema=out_schema
-            )
             if count_only:
-                total = result.agg(F.sum("cnt")).collect()[0][0] or 0
-                timings.computation = time.monotonic() - t1
-                timings.result_count = int(total)
+                result = int(joined.agg(F.sum("cnt")).collect()[0][0] or 0)
+                timings.result_count = result
             else:
-                result = result.persist(StorageLevel.MEMORY_AND_DISK)
+                result = joined.persist(StorageLevel.MEMORY_AND_DISK)
                 timings.result_count = result.count()
-                timings.computation = time.monotonic() - t1
-            # The paper's cap is wall-clock on the whole run; the
-            # per-server deadline cannot see scheduling/straggler time,
-            # so a run whose computation wall time exceeds the budget is
-            # reported as timed out (its — correct — result is kept).
-            if (
-                budget_seconds is not None
-                and timings.computation > budget_seconds
-            ):
-                timings.timed_out = True
-            return (int(total) if count_only else result), timings
         except Exception as e:  # noqa: BLE001 - Py4J wraps worker errors
-            timings.computation = time.monotonic() - t1
-            if LeapfrogTimeout.__name__ in str(e):
-                timings.timed_out = True
-                raise JoinTimeoutError(
-                    f"leapfrog budget of {budget_seconds}s exceeded", timings
-                ) from e
-            raise
+            joined.unpersist()
+            if LeapfrogTimeout.__name__ not in str(e):
+                raise
+            result = None  # a server passed its deadline
+        timings.computation = time.monotonic() - t1
+        # The paper's cap is wall-clock on the whole run; the per-server
+        # deadline cannot see scheduling/straggler time, so a run whose
+        # computation wall time exceeds the budget is timed out too (its
+        # — correct — result is kept).
+        timings.timed_out = result is None or (
+            budget_seconds is not None and timings.computation > budget_seconds
+        )
+        return result, timings
     finally:
         shuffled.unpersist()

@@ -50,8 +50,6 @@ from repro.core.sampling import (
     project_db,
 )
 from repro.hcube.shares import RelSpec, Shares
-from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
-from repro.leapfrog.trie import trie_for_order
 
 
 @dataclass
@@ -302,18 +300,20 @@ def optimize(
     est = _Estimator(db, query, tree, sample_k, seed)
     cm = cost_model
 
-    def comp_cost(t_prev: float, stats, fallback_rate: float) -> float:
-        """Computation cost of the variant measured by ``stats``.
+    def comp_cost(t_prev: float, v: int, pre: bool) -> float:
+        """Computation cost of traversing bag ``v`` last, with or without
+        pre-computing it.
 
         Sampled mode: the per-value counting time scaled by |val(A)|
         predicts the sequential whole-query time directly (capturing
         both cheaper extensions and fewer partial bindings under a
         pre-joined bag), divided by the skew-adjusted parallelism.
-        Model mode (stats is None): the paper's closed form
-        ``T_prev / (β · N*)``.
+        Model mode, or no sample (the bag is too big to pre-join
+        locally): the paper's closed form ``cost_E``.
         """
+        stats = None if beta_source == "model" else est.beta_stats(v, pre=pre)
         if stats is None:
-            return t_prev / (fallback_rate * cm.n_servers)
+            return cm.cost_E(t_prev, precomputed=pre)
         n_eff = max(1.0, cm.n_servers * (1.0 - stats.hub_share))
         return stats.seconds_per_value * stats.val_count / n_eff
 
@@ -333,12 +333,7 @@ def optimize(
             )
             t_prev = est.prefix_count(prefix_attrs)
             cost_c, _ = cm.cost_C(query.attrs, _rels_for(tree, C, sizes, est))
-            raw_stats = (
-                est.beta_stats(v, pre=False)
-                if beta_source == "sampled"
-                else None
-            )
-            cost_no = cost_c + comp_cost(t_prev, raw_stats, cm.beta_raw)
+            cost_no = cost_c + comp_cost(t_prev, v, pre=False)
             if best is None or cost_no < best[0]:
                 best = (cost_no, v, False)
             bag = tree.bags[v]
@@ -352,16 +347,7 @@ def optimize(
                     est.bag_join_size(bag),
                     join_work=est.join_work(bag),
                 )
-                pre_stats = (
-                    est.beta_stats(v, pre=True)
-                    if beta_source == "sampled"
-                    else None
-                )
-                cost_pre = (
-                    cost_m
-                    + cost_c2
-                    + comp_cost(t_prev, pre_stats, cm.beta_pre)
-                )
+                cost_pre = cost_m + cost_c2 + comp_cost(t_prev, v, pre=True)
                 if cost_pre < best[0]:
                     best = (cost_pre, v, True)
         assert best is not None, "hypertree has no valid traversal order"

@@ -3,7 +3,7 @@
 ``shares`` optimizes the share vector ``p`` (partitions per attribute)
 minimizing communication subject to per-server memory; ``shuffle``
 implements the hypercube data exchange as a DataFrame transformation
-with the paper's Push / Pull / Merge implementation variants.
+with the paper's Push and Pull implementation variants.
 """
 from repro.hcube.shares import (  # noqa: F401
     Shares,
@@ -12,4 +12,4 @@ from repro.hcube.shares import (  # noqa: F401
     frac,
     optimize_shares,
 )
-from repro.hcube.shuffle import hcube_shuffle, SHUFFLE_SCHEMA  # noqa: F401
+from repro.hcube.shuffle import hcube_shuffle  # noqa: F401

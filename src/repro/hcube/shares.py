@@ -73,6 +73,16 @@ def _vectors(attrs: Sequence[str], max_product: int) -> Iterable[dict[str, int]]
     yield from rec(0, max_product, {})
 
 
+def derive_memory(
+    attrs: Sequence[str], relations: Sequence[RelSpec], n_servers: int
+) -> float:
+    """Per-server capacity M: twice the minimum achievable expected load
+    over all share vectors with ``∏ p ≤ n_servers``."""
+    return 2.0 * min(
+        server_load(relations, p) for p in _vectors(list(attrs), n_servers)
+    )
+
+
 def optimize_shares(
     attrs: Sequence[str],
     relations: Sequence[RelSpec],

@@ -9,16 +9,17 @@ strides over the attribute order.
 
 Implementation variants of §V:
 
-* ``push``  — one shuffled row per (tuple, server): the original
-  tuple-at-a-time MapReduce-style HCube.
-* ``pull``  — tuples of a relation are first grouped into *blocks* keyed
+* ``push`` — one shuffled row per (tuple, server): the original
+  tuple-at-a-time MapReduce-style HCube (Fig. 9's baseline).
+* ``pull`` — tuples of a relation are first grouped into *blocks* keyed
   by their own hash signature; whole blocks are replicated to servers
   (far fewer, larger shuffle rows).
-* ``merge`` — like ``pull`` but each block is additionally sorted in trie
-  column order during the shuffle, so servers receive pre-sorted runs
-  (the paper's pre-built per-block tries; our trie *is* sorted arrays).
 
-All variants emit the same logical rows: ``(server, rel, block)`` with
+The paper's Merge variant (blocks shipped as pre-built tries that servers
+merge) is not implemented: every server builds its tries from its
+received tuples, so pre-sorting blocks during the shuffle saves nothing.
+
+Both variants emit the same logical rows: ``(server, rel, block)`` with
 ``block: array<bigint>`` holding the block's tuples **flattened** in trie
 column order (reshape by the relation's arity on the receiving side).
 Flat blocks cross the Arrow boundary as one contiguous int64 vector, so
@@ -34,9 +35,7 @@ from typing import Mapping, Sequence
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-SHUFFLE_SCHEMA = "server int, rel string, block array<bigint>"
-
-MODES = ("push", "pull", "merge")
+MODES = ("push", "pull")
 
 
 def order_aligned_attrs(
@@ -99,14 +98,10 @@ def hcube_shuffle(
                 F.col("t").alias("block"), *[f"h_{a}" for a in own]
             )
         else:
-            agg = F.collect_list("t")
-            if mode == "merge":
-                agg = F.array_sort(agg)  # lexicographic = trie order
+            block = F.flatten(F.collect_list("t")).alias("block")
             keys = [f"h_{a}" for a in own]
             blocks = (
-                base.groupBy(*keys).agg(F.flatten(agg).alias("block"))
-                if keys
-                else base.agg(F.flatten(agg).alias("block"))
+                base.groupBy(*keys).agg(block) if keys else base.agg(block)
             )
         cur = blocks
         for a in free:

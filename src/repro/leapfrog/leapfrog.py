@@ -55,7 +55,6 @@ def leapfrog(
     fixed_prefix: Sequence[int] = (),
     deadline: float | None = None,
     cache: IntersectionCache | None = None,
-    max_rows: int | None = None,
 ) -> LFResult:
     """Run Leapfrog over ``tries`` with attribute ``order``.
 
@@ -65,7 +64,7 @@ def leapfrog(
     used by the sampler (§IV) to evaluate ``T_{A=a}``. ``deadline`` is an
     absolute ``time.monotonic()`` instant; exceeding it raises
     :class:`LeapfrogTimeout`. ``cache`` enables the CacheTrieJoin-style
-    intersection memo. ``max_rows`` caps materialized output.
+    intersection memo.
     """
     order = tuple(order)
     n = len(order)
@@ -130,10 +129,6 @@ def leapfrog(
                 row[:, :-1] = binding[:-1]
                 row[:, -1] = inter
                 chunks.append(row)
-                if max_rows is not None and stats.count > max_rows:
-                    raise LeapfrogTimeout(
-                        f"result exceeded max_rows={max_rows}"
-                    )
             return
         for v in inter:
             binding[i] = v

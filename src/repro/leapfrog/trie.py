@@ -5,8 +5,7 @@ attribute order is stored as one sorted-array level per column: level
 ``l`` holds the distinct length-``l+1`` prefixes' last values plus, per
 node, the index range of its children in level ``l+1``. This is the
 "trie implemented using three arrays" of the paper's §V (values +
-child-start + child-end), which serializes cheaply for the Merge HCube
-variant.
+child-start + child-end).
 """
 from __future__ import annotations
 
@@ -40,13 +39,11 @@ class Trie:
         self.values: list[np.ndarray] = []
         self.child_start: list[np.ndarray] = []
         self.child_end: list[np.ndarray] = []
-        self._node_row_start: list[np.ndarray] = []
         if n == 0:
             for _ in range(k):
                 self.values.append(np.empty(0, dtype=np.int64))
                 self.child_start.append(np.empty(0, dtype=np.int64))
                 self.child_end.append(np.empty(0, dtype=np.int64))
-                self._node_row_start.append(np.empty(0, dtype=np.int64))
             return
         row_starts: list[np.ndarray] = []
         row_ends: list[np.ndarray] = []
@@ -60,7 +57,6 @@ class Trie:
             self.values.append(rows[starts, level].copy())
             row_starts.append(starts)
             row_ends.append(ends)
-            self._node_row_start.append(starts)
         for level in range(k):
             if level + 1 < k:
                 cs = np.searchsorted(row_starts[level + 1], row_starts[level])

@@ -1,18 +1,16 @@
 """End-to-end Spark tests for ADJ (co-optimization strategy, §III)."""
+import itertools
+import math
+
 import duckdb
 import pytest
 
-from repro.core.adj import (
-    ADJConfig,
-    derive_memory,
-    precompute_bags,
-    relation_dfs,
-    run_adj,
-)
+from repro.core.adj import ADJConfig, precompute_bags, relation_dfs, run_adj
 from repro.core.cost import CostModel
 from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import optimize
 from repro.core.query import get_query
+from repro.hcube.shares import derive_memory, server_load
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
 
@@ -142,17 +140,20 @@ class TestRunADJ:
 
 
 class TestDeriveMemory:
-    def test_positive_and_scales_with_slack(self):
+    def test_twice_min_achievable_load(self):
         q = get_query("Q1")
         specs = [(r.attrs, 100) for r in q.relations]
-        m1 = derive_memory(q.attrs, specs, 8, 1.0)
-        m2 = derive_memory(q.attrs, specs, 8, 2.0)
-        assert m1 > 0
-        assert m2 == pytest.approx(2 * m1)
+        min_load = min(
+            server_load(specs, dict(zip(q.attrs, p)))
+            for p in itertools.product(range(1, 9), repeat=len(q.attrs))
+            if math.prod(p) <= 8
+        )
+        assert min_load > 0
+        assert derive_memory(q.attrs, specs, 8) == pytest.approx(2 * min_load)
 
     def test_more_servers_smaller_min_load(self):
         q = get_query("Q1")
         specs = [(r.attrs, 100) for r in q.relations]
-        assert derive_memory(q.attrs, specs, 16, 1.0) <= derive_memory(
-            q.attrs, specs, 4, 1.0
+        assert derive_memory(q.attrs, specs, 16) < derive_memory(
+            q.attrs, specs, 4
         )

@@ -49,11 +49,6 @@ class TestCostFormulas:
         assert pricey > cheap
         assert pricey == pytest.approx(200 / 1000.0 + 1_000_000 / 2000.0)
 
-    def test_with_beta_raw(self):
-        cm = model().with_beta_raw(99.0)
-        assert cm.beta_raw == 99.0
-        assert cm.beta_pre == 500.0
-
     def test_more_servers_cheaper_computation(self):
         c4 = model(n_servers=4).cost_E(1000, precomputed=False)
         c16 = model(n_servers=16).cost_E(1000, precomputed=False)

@@ -1,5 +1,5 @@
 """Spark tests for the HCube shuffle (§II-A, §V): routing correctness,
-duplication counts, and Push/Pull/Merge equivalence."""
+duplication counts, and Push/Pull equivalence."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -100,21 +100,13 @@ class TestModes:
             flat[mode] = {
                 k: sorted(v) for k, v in _collect_tuples(out).items()
             }
-        assert flat["push"] == flat["pull"] == flat["merge"]
+        assert flat["push"] == flat["pull"]
 
     def test_pull_fewer_rows_than_push(self, spark):
         rels, schemas = _rels(spark)
         push = hcube_shuffle(rels, schemas, ORDER, SHARES, mode="push").count()
         pull = hcube_shuffle(rels, schemas, ORDER, SHARES, mode="pull").count()
         assert pull < push
-
-    def test_merge_blocks_sorted(self, spark):
-        rels, schemas = _rels(spark)
-        out = hcube_shuffle(rels, schemas, ORDER, SHARES, mode="merge")
-        for row in out.collect():
-            blk = row["block"]
-            tuples = [tuple(blk[i : i + 2]) for i in range(0, len(blk), 2)]
-            assert tuples == sorted(tuples)
 
     def test_bad_mode_rejected(self, spark):
         rels, schemas = _rels(spark)

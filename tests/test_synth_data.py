@@ -1,4 +1,4 @@
-"""Tests for the synthetic data generators (TPC-H-lite + graph stand-ins)."""
+"""Tests for the synthetic graph dataset generators."""
 import numpy as np
 import pytest
 
@@ -7,10 +7,7 @@ from repro.synth_data import (
     PAPER_TABLE1,
     dataset_pdf,
     graph_edges_pdf,
-    lineitem,
-    orders,
     tiny_graph_pdf,
-    zipf_keys,
 )
 
 
@@ -91,18 +88,3 @@ class TestDatasets:
             con.close()
         assert n > 0
 
-
-class TestTpchLite:
-    def test_lineitem_columns(self, spark):
-        df = lineitem(spark, sf=0.001)
-        assert "l_orderkey" in df.columns
-        assert df.count() == 6000
-
-    def test_orders_keys_dense(self, spark):
-        df = orders(spark, sf=0.001)
-        assert df.count() == 1500
-
-    def test_zipf_keys_skewed(self, spark):
-        df = zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.mean()
