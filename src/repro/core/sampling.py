@@ -1,9 +1,10 @@
 """Cardinality estimation via sampling (paper §IV).
 
 ``|T| = |val(A)| · mean(|T_{A=a}|)`` over uniformly sampled ``a`` from
-``val(A) = ∩_{R ∋ A} Π_A R``. Per-value counts come from a Leapfrog run
-with the first attribute pinned (``fixed_prefix``). Chernoff–Hoeffding
-(Lemma 2) gives ``k(p, δ)``.
+``val(A) = ∩_{R ∋ A} Π_A R``. The per-value counts of one estimate come
+from a single Leapfrog run with every sampled value pinned at level 0:
+the kernel extends all of them as one batch and returns one count per
+value. Chernoff–Hoeffding (Lemma 2) gives ``k(p, δ)``.
 
 Two implementations share the estimator:
 
@@ -100,45 +101,33 @@ def _count_for_values(
     values: np.ndarray,
     budget_seconds: float | None = None,
 ) -> tuple[np.ndarray, int, float, int]:
-    """Leapfrog counts ``|T_{A=a}|`` for each ``a`` (A = order[0]).
+    """Leapfrog counts ``|T_{A=a}|`` for each ``a`` (A = order[0]), all in
+    one kernel run with the values pinned at level 0.
 
     Returns (counts, total_extensions, count_elapsed, processed). A
     ``budget_seconds`` cap stops early (hub values can be arbitrarily
-    heavy); the estimator then scales by the values actually processed.
+    heavy); only the values whose counts finished are returned, and the
+    estimator scales by them. If none finished, the partial counts of the
+    values under way are returned as lower bounds, so even one over-budget
+    hub value yields a usable (if coarse) sample.
     """
     order = tuple(order)
     tries = [
         trie_for_order(rows, attrs, order) for attrs, rows in db.values()
     ]
-    counts = np.zeros(len(values), dtype=np.int64)
-    ext = 0
     t0 = time.monotonic()  # tries built above: pure counting time follows
     deadline = t0 + budget_seconds if budget_seconds else None
-    processed = 0
-    for i, a in enumerate(values):
-        try:
-            res = leapfrog(
-                tries,
-                order,
-                emit=False,
-                fixed_prefix=(int(a),),
-                deadline=deadline,
-            )
-        except LeapfrogTimeout as e:
-            # keep the partial count as a lower bound so even a single
-            # over-budget hub value yields a usable (if coarse) sample
-            partial = getattr(e, "partial", None)
-            if partial is not None:
-                counts[i] = partial.count
-                ext += partial.extensions
-                processed += 1
-            break
-        counts[i] = res.count
-        ext += res.extensions
-        processed += 1
-        if deadline is not None and time.monotonic() > deadline:
-            break
-    return counts[:processed], ext, time.monotonic() - t0, processed
+    try:
+        res = leapfrog(
+            tries, order, emit=False, pinned=values, deadline=deadline
+        )
+    except LeapfrogTimeout as e:
+        res = e.partial
+    done = res.value_done
+    if not done.any():
+        done = res.value_counts > 0
+    counts = res.value_counts[done]
+    return counts, res.extensions, time.monotonic() - t0, len(counts)
 
 
 def _val_of_attr_local(db: LocalDB, attr: str) -> np.ndarray:
@@ -212,8 +201,8 @@ def estimate_cardinality_spark(
     2. Sample ``k`` values of ``val(A)``.
     3. Semi-join-reduce every relation containing ``A`` against the
        sample (the "reduce the database before shuffling" optimization).
-    4. Broadcast the reduced database; evaluate the pinned Leapfrog per
-       sampled value in parallel on the executors.
+    4. Broadcast the reduced database; each executor task counts its
+       slice of the sample in one pinned Leapfrog run.
     """
     t0 = time.monotonic()
     order = tuple(order)

@@ -5,7 +5,9 @@ attribute order is stored as one sorted-array level per column: level
 ``l`` holds the distinct length-``l+1`` prefixes' last values plus, per
 node, the index range of its children in level ``l+1``. This is the
 "trie implemented using three arrays" of the paper's §V (values +
-child-start + child-end).
+child-start + child-end). Levels below the root also keep a sorted search
+key so :meth:`Trie.find` probes a batch of (node range, value) pairs with
+one ``searchsorted``.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ class Trie:
         self.values: list[np.ndarray] = []
         self.child_start: list[np.ndarray] = []
         self.child_end: list[np.ndarray] = []
+        self._keys: list[tuple[np.ndarray, np.ndarray]] = []
         if n == 0:
             for _ in range(k):
                 self.values.append(np.empty(0, dtype=np.int64))
@@ -66,6 +69,18 @@ class Trie:
                 ce = np.zeros(len(row_starts[level]), dtype=np.int64)
             self.child_start.append(cs.astype(np.int64))
             self.child_end.append(ce.astype(np.int64))
+        # Search keys of levels 1.. for ``find``: (node range start, rank of
+        # the value among the level's distinct values). Node ranges are
+        # laid out in parent order and each is sorted, so the keys are
+        # sorted over the whole level and one searchsorted probes many
+        # (range, value) pairs at once; ranks keep the product in int64.
+        for level in range(1, k):
+            vals = self.values[level]
+            distinct = np.unique(vals)
+            starts = self.child_start[level - 1]
+            seg = np.repeat(starts, self.child_end[level - 1] - starts)
+            keys = seg * (len(distinct) + 1) + np.searchsorted(distinct, vals)
+            self._keys.append((keys, distinct))
 
     # -- navigation --------------------------------------------------------
     @property
@@ -80,27 +95,23 @@ class Trie:
         """Node-index range of the level-0 values."""
         return 0, len(self.values[0])
 
-    def candidates(self, level: int, lo: int, hi: int) -> np.ndarray:
-        """Sorted candidate values of the nodes ``[lo, hi)`` at ``level``."""
-        return self.values[level][lo:hi]
-
-    def descend(self, level: int, lo: int, hi: int, v: int) -> tuple[int, int]:
-        """Child node range (at ``level + 1``) of value ``v`` within node
-        range ``[lo, hi)`` at ``level``. ``v`` must be present."""
-        idx = lo + int(np.searchsorted(self.values[level][lo:hi], v))
-        return int(self.child_start[level][idx]), int(self.child_end[level][idx])
-
-    def contains_prefix(self, prefix: Sequence[int]) -> bool:
-        """Whether some row starts with ``prefix``."""
-        lo, hi = self.root_range()
-        for level, v in enumerate(prefix):
-            vals = self.values[level][lo:hi]
-            idx = int(np.searchsorted(vals, v))
-            if idx >= len(vals) or vals[idx] != v:
-                return False
-            if level + 1 < self.arity:
-                lo, hi = self.descend(level, lo, hi, v)
-        return True
+    def find(self, level: int, lo, hi, v) -> np.ndarray:
+        """Node index of each value ``v`` within node range ``[lo, hi)`` at
+        ``level``, or -1 where ``v`` is not there. Vectorized over ``lo``,
+        ``hi`` and ``v``; below level 0, ``lo`` must be a node range the
+        trie produced (a ``child_start`` entry)."""
+        vals = self.values[level]
+        v = np.asarray(v, dtype=np.int64)
+        if len(vals) == 0:
+            return np.full(v.shape, -1, dtype=np.int64)
+        if level == 0:
+            pos = np.maximum(np.searchsorted(vals, v), lo)
+        else:
+            keys, distinct = self._keys[level - 1]
+            rank = np.searchsorted(distinct, v)
+            pos = np.searchsorted(keys, lo * (len(distinct) + 1) + rank)
+        found = (pos < hi) & (vals[np.minimum(pos, len(vals) - 1)] == v)
+        return np.where(found, pos, -1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trie(attrs={self.attrs}, rows={self.n_rows})"

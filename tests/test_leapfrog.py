@@ -1,7 +1,11 @@
 """Unit tests for the Leapfrog trie-join (Alg. 1), checked against DuckDB."""
+import importlib
+import itertools
 import time
+from unittest import mock
 
 import duckdb
+import pandas as pd
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,9 @@ from repro.leapfrog.cache import IntersectionCache
 from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
 from repro.leapfrog.trie import Trie, trie_for_order
 from repro.synth_data import tiny_graph_pdf
+
+# the module, not the function the package re-exports under its name
+lf_module = importlib.import_module("repro.leapfrog.leapfrog")
 
 
 def _duck_count(sql: str, edges) -> int:
@@ -93,23 +100,29 @@ class TestLeapfrogSmall:
         assert res.intermediate == [1, 1, 1, 1, 1]
 
     def test_fixed_prefix(self):
+        """Values pinned at level 0 give the rows and one count per value."""
         edges = tiny_graph_pdf()
         order = ("a", "b", "c")
         _, tries = _tries_for_query("Q1", edges, order)
         full = leapfrog(tries, order, emit=True)
         if full.count == 0:
             pytest.skip("no triangles in tiny graph")
-        a0 = int(full.rows[0, 0])
-        fixed = leapfrog(tries, order, emit=True, fixed_prefix=(a0,))
-        expect = full.rows[full.rows[:, 0] == a0]
+        pinned = np.unique(full.rows[:, 0])[:3]
+        fixed = leapfrog(tries, order, emit=True, pinned=pinned)
+        expect = full.rows[np.isin(full.rows[:, 0], pinned)]
         assert fixed.rows.tolist() == expect.tolist()
+        assert fixed.value_done.all()
+        assert fixed.value_counts.tolist() == [
+            int((full.rows[:, 0] == v).sum()) for v in pinned
+        ]
 
     def test_fixed_prefix_absent_value(self):
         edges = tiny_graph_pdf()
         order = ("a", "b", "c")
         _, tries = _tries_for_query("Q1", edges, order)
-        res = leapfrog(tries, order, emit=False, fixed_prefix=(10**9,))
+        res = leapfrog(tries, order, emit=False, pinned=np.array([10**9]))
         assert res.count == 0
+        assert res.value_counts.tolist() == [0]
 
     def test_timeout_raises(self):
         edges = tiny_graph_pdf(n_edges=2000, n_nodes=60)
@@ -117,6 +130,36 @@ class TestLeapfrogSmall:
         _, tries = _tries_for_query("Q3", edges, order)
         with pytest.raises(LeapfrogTimeout):
             leapfrog(tries, order, emit=False, deadline=time.monotonic() - 1)
+
+    def test_timeout_keeps_finished_value_counts(self):
+        """A pinned run cut by its deadline marks the values it finished,
+        with their exact counts; the others' counts are lower bounds. The
+        clock advances one second per reading, so each deadline cuts after
+        a fixed number of chunks."""
+        edges = tiny_graph_pdf()
+        order = ("a", "b", "c")
+        _, tries = _tries_for_query("Q1", edges, order)
+        pinned = np.unique(edges["src"].to_numpy())
+        truth = leapfrog(tries, order, emit=False, pinned=pinned).value_counts
+        mixed, cut = 0, 1
+        with mock.patch.object(lf_module, "_CHUNK", 2):
+            while True:
+                cut *= 2
+                clock = itertools.count()
+                with mock.patch.object(
+                    lf_module.time, "monotonic", lambda: float(next(clock))
+                ):
+                    try:
+                        leapfrog(tries, order, emit=False, pinned=pinned,
+                                 deadline=cut + 0.5)
+                        break
+                    except LeapfrogTimeout as e:
+                        got = e.partial.value_counts
+                        done = e.partial.value_done
+                assert (got[done] == truth[done]).all()
+                assert (got <= truth).all()
+                mixed += bool(done.any() and not done.all())
+        assert mixed > 0
 
 
 QUERY_ORDERS = {
@@ -222,3 +265,89 @@ def test_path_join_property(e1, e2):
         (a, b, c) for (a, b) in set(e1) for (b2, c) in set(e2) if b == b2
     )
     assert sorted(map(tuple, res.rows.tolist())) == expect
+
+
+def _relation(attrs):
+    """Strategy: (attrs, rows) over small values, duplicates allowed."""
+    row = st.tuples(*[st.integers(0, 4)] * len(attrs))
+    return st.lists(row, max_size=25).map(lambda rows: (attrs, rows))
+
+
+@st.composite
+def _join_instance(draw):
+    """A natural join of 1–4 relations of arity 1–3 over attributes a–d,
+    every attribute covered, plus a Leapfrog order."""
+    attrs = "abcd"[: draw(st.integers(1, 4))]
+    arity = st.integers(1, min(3, len(attrs)))
+    schemas = draw(st.lists(
+        arity.flatmap(lambda k: st.permutations(attrs).map(lambda p: p[:k])),
+        min_size=1, max_size=4,
+    ))
+    missing = tuple(a for a in attrs if not any(a in s for s in schemas))
+    if missing:
+        schemas.append(missing)
+    rels = [draw(_relation(tuple(s))) for s in schemas]
+    return rels, tuple(draw(st.permutations(attrs)))
+
+
+def _duck_prefix_counts(rels, order) -> list[int]:
+    """|T^i| by DuckDB: distinct tuples of the join of every relation
+    projected onto ``order[:i+1]`` (a relation with no attribute there
+    projects to one empty tuple, or to none when it is empty)."""
+    con = duckdb.connect()
+    try:
+        for k, (attrs, rows) in enumerate(rels):
+            con.register(
+                f"r{k}",
+                pd.DataFrame(np.array(rows, dtype=np.int64).reshape(-1, len(attrs)),
+                             columns=list(attrs)),
+            )
+        out = []
+        for i in range(len(order)):
+            prefix = order[: i + 1]
+            tables, where, col = [], [], {}
+            for k, (attrs, _) in enumerate(rels):
+                cols = [a for a in attrs if a in prefix] or ["1 AS one"]
+                tables.append(f"(SELECT DISTINCT {', '.join(cols)} FROM r{k}) p{k}")
+                for a in attrs:
+                    if a in col:
+                        where.append(f"p{k}.{a} = {col[a]}")
+                    elif a in prefix:
+                        col[a] = f"p{k}.{a}"
+            sql = (
+                f"SELECT DISTINCT {', '.join(col[a] for a in prefix)} "
+                f"FROM {', '.join(tables)}"
+                + (f" WHERE {' AND '.join(where)}" if where else "")
+            )
+            out.append(
+                con.execute(f"SELECT count(*) FROM ({sql})").fetchone()[0]
+            )
+        return out
+    finally:
+        con.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_join_instance(), chunk=st.integers(1, 3))
+def test_join_matches_duckdb_property(inst, chunk):
+    """Counts and every |T^i| equal DuckDB on arbitrary small joins, with
+    chunks small enough that every frontier is split; the cached and the
+    pinned runs agree."""
+    rels, order = inst
+    tries = [
+        trie_for_order(np.array(rows, dtype=np.int64).reshape(-1, len(a)), a, order)
+        for a, rows in rels
+    ]
+    expect = _duck_prefix_counts(rels, order)
+    with mock.patch.object(lf_module, "_CHUNK", chunk):
+        res = leapfrog(tries, order, emit=True)
+        assert res.count == len(res.rows) == expect[-1]
+        assert res.intermediate == expect
+        assert len({tuple(r) for r in res.rows.tolist()}) == res.count
+        cached = leapfrog(tries, order, emit=False, cache=IntersectionCache(8))
+        assert cached.intermediate == expect
+        values = np.arange(-1, 6)
+        pinned = leapfrog(tries, order, emit=False, pinned=values)
+        assert pinned.value_counts.tolist() == [
+            int((res.rows[:, 0] == v).sum()) for v in values
+        ]

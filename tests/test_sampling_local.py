@@ -1,10 +1,16 @@
 """Unit tests for the local sampling estimator and Hoeffding bound (§IV)."""
+import importlib
+import itertools
+import time
+from unittest import mock
+
 import duckdb
 import numpy as np
 import pytest
 
 from repro.core.query import get_query
 from repro.core.sampling import (
+    _count_for_values,
     estimate_cardinality_local,
     hoeffding_bound,
     project_db,
@@ -12,6 +18,9 @@ from repro.core.sampling import (
     _val_of_attr_local,
 )
 from repro.synth_data import tiny_graph_pdf
+
+# the module, not the function the package re-exports under its name
+lf_module = importlib.import_module("repro.leapfrog.leapfrog")
 
 
 def _db_for(qname, edges):
@@ -120,6 +129,67 @@ class TestEstimateLocal:
         est = estimate_cardinality_local(db, ("a", "b", "c"), k=10)
         assert est.estimate == 0.0
         assert est.val_count == 0
+
+    @pytest.mark.parametrize("qname,order", [
+        ("Q1", ("a", "b", "c")),
+        ("Q2", ("a", "b", "c", "d")),
+    ])
+    def test_batched_counts_per_value(self, qname, order):
+        """One batched run gives each value's |T_{A=a}| as DuckDB does."""
+        edges = tiny_graph_pdf()
+        q, db = _db_for(qname, edges)
+        values = _val_of_attr_local(db, order[0])
+        counts, ext, _, used = _count_for_values(db, order, values)
+        con = duckdb.connect()
+        try:
+            con.register("e", edges)
+            expect = dict(con.execute(
+                f"SELECT {order[0]}, count(*) FROM ({q.to_sql()}) "
+                f"GROUP BY {order[0]}"
+            ).fetchall())
+        finally:
+            con.close()
+        assert used == len(values)
+        assert counts.tolist() == [expect.get(int(v), 0) for v in values]
+        assert ext >= counts.sum()
+
+    def test_passed_budget_uses_fewer_values(self):
+        """A budget already spent ends the estimate early, without raising,
+        on the values whose counts finished."""
+        edges = tiny_graph_pdf()
+        _, db = _db_for("Q1", edges)
+        est = estimate_cardinality_local(
+            db, ("a", "b", "c"), k=20, budget_seconds=1e-9
+        )
+        assert est.k < 20
+
+    def test_over_budget_hub_value_is_lower_bound(self):
+        """When no value finishes within the budget, the value under way
+        still counts with its partial count, a lower bound above 0. The
+        clock advances one second per reading, so each budget cuts after
+        a fixed number of chunks."""
+        edges = tiny_graph_pdf()
+        _, db = _db_for("Q1", edges)
+        order = ("a", "b", "c")
+        values = _val_of_attr_local(db, "a")
+        exact, *_ = _count_for_values(db, order, values)
+        hub = values[[int(np.argmax(exact))]]
+        truth = int(exact.max())
+        cut_above_zero = 0
+        with mock.patch.object(lf_module, "_CHUNK", 1):
+            for budget in range(2, 10_000):
+                clock = itertools.count()
+                with mock.patch.object(
+                    time, "monotonic", lambda: float(next(clock))
+                ):
+                    counts, _, _, used = _count_for_values(
+                        db, order, hub, budget_seconds=budget
+                    )
+                if used and counts[0] == truth:
+                    break
+                assert used <= 1 and (counts <= truth).all()
+                cut_above_zero += bool(used and counts[0] > 0)
+        assert cut_above_zero > 0
 
     def test_extension_rate_positive(self):
         edges = tiny_graph_pdf()

@@ -7,12 +7,31 @@ from hypothesis import strategies as st
 from repro.leapfrog.trie import Trie, trie_for_order
 
 
+def _child_range(t: Trie, level: int, lo: int, hi: int, v: int):
+    """Child node range of value ``v`` in node range ``[lo, hi)`` at
+    ``level``, or None where ``v`` is not there."""
+    node = int(t.find(level, lo, hi, v))
+    if node < 0:
+        return None
+    return int(t.child_start[level][node]), int(t.child_end[level][node])
+
+
+def _contains_prefix(t: Trie, prefix) -> bool:
+    """Whether some row of ``t`` starts with ``prefix``."""
+    rng = t.root_range()
+    for level, v in enumerate(prefix):
+        rng = _child_range(t, level, *rng, v)
+        if rng is None:
+            return False
+    return True
+
+
 class TestTrieBasics:
     def test_single_column(self):
         t = Trie(np.array([[3], [1], [2], [1]]), ("a",))
         assert t.n_rows == 3  # deduped
         lo, hi = t.root_range()
-        assert t.candidates(0, lo, hi).tolist() == [1, 2, 3]
+        assert t.values[0][lo:hi].tolist() == [1, 2, 3]
 
     def test_two_columns_sorted_and_deduped(self):
         rows = np.array([[2, 1], [1, 2], [1, 1], [1, 2]])
@@ -24,11 +43,12 @@ class TestTrieBasics:
         rows = np.array([[1, 10], [1, 20], [2, 30]])
         t = Trie(rows, ("a", "b"))
         lo, hi = t.root_range()
-        assert t.candidates(0, lo, hi).tolist() == [1, 2]
-        clo, chi = t.descend(0, lo, hi, 1)
-        assert t.candidates(1, clo, chi).tolist() == [10, 20]
-        clo, chi = t.descend(0, lo, hi, 2)
-        assert t.candidates(1, clo, chi).tolist() == [30]
+        assert t.values[0][lo:hi].tolist() == [1, 2]
+        clo, chi = _child_range(t, 0, lo, hi, 1)
+        assert t.values[1][clo:chi].tolist() == [10, 20]
+        clo, chi = _child_range(t, 0, lo, hi, 2)
+        assert t.values[1][clo:chi].tolist() == [30]
+        assert _child_range(t, 0, lo, hi, 3) is None
 
     def test_three_levels(self):
         rows = np.array(
@@ -36,24 +56,35 @@ class TestTrieBasics:
         )
         t = Trie(rows, ("a", "b", "c"))
         lo, hi = t.root_range()
-        l1 = t.descend(0, lo, hi, 1)
-        assert t.candidates(1, *l1).tolist() == [1, 2]
-        l2 = t.descend(1, *l1, 1)
-        assert t.candidates(2, *l2).tolist() == [1, 2]
+        l1 = _child_range(t, 0, lo, hi, 1)
+        assert t.values[1][slice(*l1)].tolist() == [1, 2]
+        l2 = _child_range(t, 1, *l1, 1)
+        assert t.values[2][slice(*l2)].tolist() == [1, 2]
 
     def test_empty_relation(self):
         t = Trie(np.empty((0, 2)), ("a", "b"))
         assert t.n_rows == 0
         assert t.root_range() == (0, 0)
-        assert t.candidates(0, 0, 0).tolist() == []
+        assert t.values[0].tolist() == []
 
     def test_contains_prefix(self):
         rows = np.array([[1, 10], [2, 30]])
         t = Trie(rows, ("a", "b"))
-        assert t.contains_prefix([1])
-        assert t.contains_prefix([1, 10])
-        assert not t.contains_prefix([1, 30])
-        assert not t.contains_prefix([3])
+        assert _contains_prefix(t, [1])
+        assert _contains_prefix(t, [1, 10])
+        assert not _contains_prefix(t, [1, 30])
+        assert not _contains_prefix(t, [3])
+
+    def test_find_batch(self):
+        """One call finds many (node range, value) pairs; -1 where absent."""
+        rows = np.array([[1, 10], [1, 20], [2, 10], [2, 30]])
+        t = Trie(rows, ("a", "b"))
+        assert t.find(0, 0, 2, np.array([0, 1, 2, 3])).tolist() == [-1, 0, 1, -1]
+        lo = t.child_start[0][[0, 0, 1, 1, 1]]
+        hi = t.child_end[0][[0, 0, 1, 1, 1]]
+        got = t.find(1, lo, hi, np.array([20, 30, 10, 20, 30]))
+        assert got.tolist() == [1, -1, 2, -1, 3]
+        assert Trie(np.empty((0, 2)), ("a", "b")).find(0, 0, 0, [1]).tolist() == [-1]
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -97,7 +128,7 @@ def test_trie_roundtrip_property(rows):
     distinct = {tuple(r) for r in rows}
     assert t.n_rows == len(distinct)
     for r in distinct:
-        assert t.contains_prefix(list(r))
+        assert _contains_prefix(t, list(r))
     # candidate counts at root match distinct first values
     lo, hi = t.root_range()
-    assert set(t.candidates(0, lo, hi).tolist()) == {r[0] for r in distinct}
+    assert set(t.values[0][lo:hi].tolist()) == {r[0] for r in distinct}
