@@ -6,9 +6,10 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
+    limit > half of ``MemTotal`` clamped to 2–8 GiB (the Tier-1 command's
+    rule in ROADMAP.md) > 2g. spark.driver.memory is read at JVM launch,
+    not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark
+    is imported anywhere — this runs at conftest import, which pytest loads
     before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
@@ -34,7 +35,15 @@ def _driver_mem() -> str:
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(
+                int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:")
+            )
+    except (OSError, StopIteration, ValueError, IndexError):
+        return "2g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = f"meminfo:MemTotal={kib}kB"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -2,15 +2,19 @@
 
 This is the physical operator shared by ADJ and the HCubeJ baselines
 (paper §II-A): relations are shuffled once by HCube, then each server
-(one Spark partition per hypercube) runs the sequential Leapfrog join on
-the data it received, with no further data exchange. The per-server join
-is a ``groupBy("server").applyInPandas`` stage — the sanctioned PySpark
-stand-in for a JVM physical operator (see DESIGN.md §2).
+runs the sequential Leapfrog join on the data it received, with no
+further data exchange. The shuffle places server ``s`` on Spark
+partition ``s mod P`` with ``P = min(n_servers, task slots)``, so one
+task runs the servers of its partition one after another. The per-server
+join is a ``groupBy("server").applyInPandas`` stage — the sanctioned
+PySpark stand-in for a JVM physical operator (see DESIGN.md §2) — that
+reuses the shuffle's partitioning: its plan adds a local sort, not a
+second exchange.
 
 The two phases are timed separately (the Communication / Computation
-columns of Tables II–IV): the shuffle result is persisted and counted
-(materializing the exchange), then the local joins run over the persisted
-blocks.
+columns of Tables II–IV): the shuffle result is persisted and one job
+both materializes it and sums the shuffled tuples, then the local joins
+run over the persisted blocks.
 """
 from __future__ import annotations
 
@@ -131,17 +135,13 @@ def one_round_join(
     shuffled = hcube_shuffle(relations, schemas, order, shares, mode=mode)
     shuffled = shuffled.persist(StorageLevel.MEMORY_AND_DISK)
     try:
-        shuffled.count()  # materialize the exchange
-        timings.communication = time.monotonic() - t0
-        per_rel = {
-            r["rel"]: r["vals"]
-            for r in shuffled.groupBy("rel")
-            .agg(F.sum(F.size("block")).alias("vals"))
-            .collect()
-        }
-        timings.shuffled_tuples = sum(
-            (vals or 0) // len(schemas[rel]) for rel, vals in per_rel.items()
+        # one job materializes the exchange and counts what it moved
+        arity = " ".join(
+            f"WHEN '{rel}' THEN {len(attrs)}" for rel, attrs in schemas.items()
         )
+        tuples = F.expr(f"sum(size(block) div CASE rel {arity} END)")
+        timings.shuffled_tuples = int(shuffled.agg(tuples).first()[0] or 0)
+        timings.communication = time.monotonic() - t0
 
         worker = _make_worker(
             schemas, order, count_only, budget_seconds, cache_entries

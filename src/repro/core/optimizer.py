@@ -80,6 +80,32 @@ class PlanChoice:
         return out
 
 
+def connected_order(
+    attrs: frozenset[str], query: JoinQuery
+) -> tuple[str, ...]:
+    """``attrs`` ordered for a prefix estimate: the first in query order
+    (the sampled attribute) leads, then greedily the attribute that shares
+    the most relations with those already bound, ties in query order.
+
+    Per-value counts do not depend on the order, so neither does the
+    estimate; a connected order only binds fewer partial tuples on the way.
+    """
+    rest = [a for a in query.attrs if a in attrs]
+    order = [rest.pop(0)]
+    while rest:
+        bound = set(order)
+        nxt = max(
+            rest,
+            key=lambda a: sum(
+                a in r.attr_set and not bound.isdisjoint(r.attrs)
+                for r in query.relations
+            ),
+        )
+        rest.remove(nxt)
+        order.append(nxt)
+    return tuple(order)
+
+
 class _Estimator:
     """Cached sampling-based estimates over a local database (§IV)."""
 
@@ -128,11 +154,11 @@ class _Estimator:
         if not attrs:
             return 1.0
         if attrs not in self._prefix:
-            sub = project_db(self.db, self._order_for(attrs))
+            order = connected_order(attrs, self.query)
             est = self._track(
                 estimate_cardinality_local(
-                    sub,
-                    self._order_for(attrs),
+                    project_db(self.db, order),
+                    order,
                     k=self.k,
                     seed=self.seed,
                     budget_seconds=self.budget,

@@ -3,17 +3,20 @@
 Each tuple of relation ``R`` is routed to every server whose hypercube
 coordinate agrees with the tuple's hashed values on ``attrs(R)``
 (``h_A(x) = x mod p_A``, the paper's example hash); the coordinates of
-attributes outside ``attrs(R)`` are free and are expanded by exploding
-``0..p_A-1``. Coordinates are linearized into a server id with mixed-radix
-strides over the attribute order.
+attributes outside ``attrs(R)`` are free. Coordinates are linearized
+into a server id with mixed-radix strides over the attribute order, so a
+tuple's server ids are its own coordinate ``c = Σ pmod(a, p_a)·stride_a``
+plus each of the free coordinates' offsets, which the driver enumerates
+once per relation. Each relation's piece is three SQL expressions: ``c``,
+the tuple array and one ``explode`` over ``c`` plus the offsets.
 
 Implementation variants of §V:
 
 * ``push`` — one shuffled row per (tuple, server): the original
   tuple-at-a-time MapReduce-style HCube (Fig. 9's baseline).
 * ``pull`` — tuples of a relation are first grouped into *blocks* keyed
-  by their own hash signature; whole blocks are replicated to servers
-  (far fewer, larger shuffle rows).
+  by their own hash signature (``c`` determines it); whole blocks are
+  replicated to servers (far fewer, larger shuffle rows).
 
 The paper's Merge variant (blocks shipped as pre-built tries that servers
 merge) is not implemented: every server builds its tries from its
@@ -25,9 +28,15 @@ column order (reshape by the relation's arity on the receiving side).
 Flat blocks cross the Arrow boundary as one contiguous int64 vector, so
 the per-server worker reconstructs them with a zero-copy reshape instead
 of a per-tuple Python loop.
+
+Servers are placed on ``min(n_servers, task slots)`` Spark partitions,
+server ``s`` on partition ``s mod P`` (``repartitionById``, Spark ≥ 4.1):
+as many servers run at once as there are slots, and no sampling job is
+needed to find the partition boundaries.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import reduce
 from typing import Mapping, Sequence
@@ -61,6 +70,42 @@ def n_servers(shares: Mapping[str, int]) -> int:
     return math.prod(shares.values()) if shares else 1
 
 
+def _piece(
+    df: DataFrame,
+    name: str,
+    attrs: tuple[str, ...],
+    order: tuple[str, ...],
+    shares: Mapping[str, int],
+    strd: Mapping[str, int],
+    mode: str,
+) -> DataFrame:
+    """One relation's ``(server, rel, block)`` rows."""
+    aligned = order_aligned_attrs(attrs, order)
+    coord = " + ".join(
+        f"pmod(CAST(`{a}` AS BIGINT), {shares[a]}) * {strd[a]}"
+        for a in aligned
+        if shares.get(a, 1) > 1
+    )
+    tup = ", ".join(f"CAST(`{a}` AS BIGINT)" for a in aligned)
+    blocks = df.selectExpr(f"{coord or '0'} AS c", f"array({tup}) AS block")
+    if mode == "pull":
+        blocks = blocks.groupBy("c").agg(
+            F.expr("flatten(collect_list(block)) AS block")
+        )
+    free = [a for a in order if a not in attrs and shares.get(a, 1) > 1]
+    offsets = [  # server-id offset of every coordinate vector over ``free``
+        sum(i * strd[a] for a, i in zip(free, coord))
+        for coord in itertools.product(*(range(shares[a]) for a in free))
+    ]
+    server = (
+        f"explode(transform(array({', '.join(map(str, offsets))}), "
+        "o -> CAST(o + c AS INT)))"
+        if free
+        else "CAST(c AS INT)"
+    )
+    return blocks.selectExpr(f"{server} AS server", f"'{name}' AS rel", "block")
+
+
 def hcube_shuffle(
     relations: Mapping[str, DataFrame],
     schemas: Mapping[str, Sequence[str]],
@@ -71,8 +116,9 @@ def hcube_shuffle(
     """Shuffle all relations into ``(server, rel, block)`` rows.
 
     ``relations[name]`` must have columns named exactly ``schemas[name]``.
-    The result is repartitioned by ``server`` so one Spark partition plays
-    the role of one HCube server.
+    The result is partitioned by ``server`` onto ``min(n_servers, slots)``
+    Spark partitions, server ``s`` on partition ``s mod P``; a
+    ``groupBy("server")`` over it needs no further exchange.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -84,47 +130,7 @@ def hcube_shuffle(
         missing = set(attrs) - set(df.columns)
         if missing:
             raise ValueError(f"{name}: columns {missing} missing from DataFrame")
-        aligned = order_aligned_attrs(attrs, order)
-        tup = F.array(*[F.col(a).cast("long") for a in aligned]).alias("t")
-        own = [a for a in attrs if shares.get(a, 1) > 1]
-        free = [a for a in order if a not in attrs and shares.get(a, 1) > 1]
-        hcols = [
-            F.pmod(F.col(a).cast("long"), F.lit(shares[a])).alias(f"h_{a}")
-            for a in own
-        ]
-        base = df.select(tup, *hcols)
-        if mode == "push":
-            blocks = base.select(
-                F.col("t").alias("block"), *[f"h_{a}" for a in own]
-            )
-        else:
-            block = F.flatten(F.collect_list("t")).alias("block")
-            keys = [f"h_{a}" for a in own]
-            blocks = (
-                base.groupBy(*keys).agg(block) if keys else base.agg(block)
-            )
-        cur = blocks
-        for a in free:
-            cur = cur.withColumn(
-                f"h_{a}",
-                F.explode(F.array(*[F.lit(i) for i in range(shares[a])])),
-            )
-        coord_terms = [
-            F.col(f"h_{a}") * F.lit(strd[a])
-            for a in order
-            if shares.get(a, 1) > 1 and (a in attrs or a in free)
-        ]
-        server = (
-            reduce(lambda x, y: x + y, coord_terms)
-            if coord_terms
-            else F.lit(0)
-        )
-        pieces.append(
-            cur.select(
-                server.cast("int").alias("server"),
-                F.lit(name).alias("rel"),
-                F.col("block"),
-            )
-        )
-    out = reduce(DataFrame.unionByName, pieces)
-    return out.repartition(max(1, n_servers(shares)), "server")
+        pieces.append(_piece(df, name, attrs, order, shares, strd, mode))
+    out = reduce(DataFrame.union, pieces)
+    slots = out.sparkSession.sparkContext.defaultParallelism
+    return out.repartitionById(min(n_servers(shares), slots), "server")

@@ -6,6 +6,7 @@ import pytest
 from repro.core.adj import relation_dfs
 from repro.core.executor import one_round_join
 from repro.core.query import get_query
+from repro.hcube.shares import dup
 from repro.hcube.shuffle import MODES
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
@@ -152,3 +153,30 @@ class TestOneRoundJoin:
         schemas = {r.name: r.attrs for r in q.relations}
         cnt, _ = one_round_join(spark, rels, schemas, ("a", "b", "c"), SHARES_ABC)
         assert cnt == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shuffled_tuples_match_dup_formula(spark, mode):
+    """``shuffled_tuples`` is ``Σ |R|·dup(R, p)`` over relations of arity
+    1, 2 and 3 in one query."""
+    schemas = {"U": ("a",), "R": ("a", "b"), "T": ("b", "c", "d")}
+    data = {
+        "U": [(i,) for i in range(7)],
+        "R": [(i, j) for i in range(5) for j in range(3)],
+        "T": [(j, k, k + 1) for j in range(4) for k in range(6)],
+    }
+    rels = {
+        n: spark.createDataFrame(
+            rows, schema=", ".join(f"{a} long" for a in schemas[n])
+        )
+        for n, rows in data.items()
+    }
+    shares = {"a": 2, "b": 2, "c": 1, "d": 3}
+    cnt, t = one_round_join(
+        spark, rels, schemas, ("a", "b", "c", "d"), shares, mode=mode
+    )
+    assert t.shuffled_tuples == sum(
+        len(data[n]) * dup(schemas[n], shares) for n in schemas
+    )
+    # U ⋈ R ⋈ T: every (a, b) with a < 5, b < 3 meets the 6 T rows of b
+    assert cnt == 5 * 3 * 6

@@ -1,5 +1,5 @@
 """Spark tests for the HCube shuffle (§II-A, §V): routing correctness,
-duplication counts, and Push/Pull equivalence."""
+duplication counts, Push/Pull equivalence, and server placement."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -143,3 +143,39 @@ class TestPaperExample4:
         assert odd_servers == {2, 3}
         even_servers = {s for (s, _), v in got.items() if any(t[0] % 2 == 0 for t in v)}
         assert even_servers == {0, 1}
+
+
+def _exchanges(df) -> int:
+    return df._jdf.queryExecution().executedPlan().toString().count("Exchange")
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestPlacement:
+    @pytest.mark.parametrize(
+        "shares", [SHARES, {"a": 2, "b": 2, "c": 2}, {"a": 2, "b": 1, "c": 1}]
+    )
+    def test_server_s_on_partition_s_mod_p(self, spark, mode, shares):
+        """Servers fill ``P = min(n_servers, slots)`` partitions, server
+        ``s`` on partition ``s mod P``, each server in one partition."""
+        rels, schemas = _rels(spark)
+        out = hcube_shuffle(rels, schemas, ORDER, shares, mode=mode)
+        P = min(n_servers(shares), spark.sparkContext.defaultParallelism)
+        assert out.rdd.getNumPartitions() == P
+        rows = out.select(F.spark_partition_id().alias("pid"), "server").collect()
+        assert {r["server"] for r in rows} <= set(range(n_servers(shares)))
+        assert all(r["pid"] == r["server"] % P for r in rows)
+        pids: dict[int, set[int]] = {}
+        for r in rows:
+            pids.setdefault(r["server"], set()).add(r["pid"])
+        assert all(len(p) == 1 for p in pids.values())
+
+    def test_per_server_stage_adds_no_exchange(self, spark, mode):
+        """``groupBy("server")`` over the shuffled frame reuses its
+        partitioning: a local sort, no second exchange."""
+        rels, schemas = _rels(spark)
+        out = hcube_shuffle(rels, schemas, ORDER, SHARES, mode=mode)
+        per_server = out.groupBy("server").applyInPandas(
+            lambda pdf: pdf[["server"]].head(1), schema="server int"
+        )
+        assert _exchanges(out) >= 1
+        assert _exchanges(per_server) <= _exchanges(out)

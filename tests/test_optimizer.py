@@ -1,11 +1,14 @@
 """Unit tests for the Alg. 2 plan optimizer."""
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.cost import CostModel
 from repro.core.hypertree import find_hypertree
-from repro.core.optimizer import PlanChoice, optimize
+from repro.core.optimizer import PlanChoice, connected_order, optimize
 from repro.core.query import get_query
+from repro.core.sampling import estimate_cardinality_local, project_db
 from repro.synth_data import tiny_graph_pdf
 
 
@@ -126,3 +129,32 @@ class TestOptimize:
         q, db = db_for("Q1", tiny_graph_pdf())
         with pytest.raises(ValueError):
             optimize(q, db, model(), beta_source="guess")
+
+
+class TestPrefixOrder:
+    @pytest.mark.parametrize("qname", ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"])
+    def test_same_estimate_no_more_work_than_query_order(self, qname):
+        """Every prefix set's estimate in the connected order equals the
+        query-order one (same sampled attribute, seed and per-value
+        counts); only the extensions may drop."""
+        q, db = db_for(qname, tiny_graph_pdf(n_edges=400, n_nodes=50, seed=5))
+        for n in range(1, len(q.attrs) + 1):
+            for attrs in itertools.combinations(q.attrs, n):
+                query_order = tuple(attrs)  # combinations keep query order
+                order = connected_order(frozenset(attrs), q)
+                assert order[0] == query_order[0]
+                assert sorted(order) == sorted(query_order)
+                sub = project_db(db, attrs)
+                base, got = (
+                    estimate_cardinality_local(sub, o, k=30, seed=3)
+                    for o in (query_order, order)
+                )
+                for f in ("estimate", "val_count", "k", "mean_x", "max_x"):
+                    assert getattr(got, f) == getattr(base, f), (attrs, f)
+                assert got.extensions <= base.extensions, attrs
+
+    def test_q4_prefix_follows_shared_relations(self):
+        """{a,b,d,e} of Q4: after a-b, e shares two relations (ea, be)
+        with the bound attributes and d none."""
+        q = get_query("Q4")
+        assert connected_order(frozenset("abde"), q) == ("a", "b", "e", "d")
