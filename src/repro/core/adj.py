@@ -44,7 +44,6 @@ class ADJConfig:
     count_only: bool = True
     budget_seconds: float | None = None  # per-server Leapfrog cap
     cache_entries: int = 0  # >0 → CacheTrieJoin-style cache
-    beta_source: str = "sampled"  # "sampled" (§III-B) | "model" (constants)
 
 
 @dataclass
@@ -118,27 +117,12 @@ def precompute_bags(
     out: dict[str, DataFrame] = {}
     sizes: dict[str, int] = {}
     for bag in plan.precomputed_bags:
-        # greedy join order: merge the relation sharing the most columns
-        # with the accumulated result first (max filtering — mirrors the
-        # optimizer's cost_M estimate of the same pipeline)
-        remaining = list(bag.relations)
-        df = None
-        while remaining:
-            if df is None:
-                r = remaining.pop(0)
-            else:
-                r = max(
-                    remaining,
-                    key=lambda x: len(set(x.attrs) & set(df.columns)),
-                )
-                remaining.remove(r)
+        first, *rest = bag.join_order()
+        df = rels[first.name]
+        for r in rest:
             rdf = rels[r.name]
-            if df is None:
-                df = rdf
-            else:
-                shared = [c for c in df.columns if c in rdf.columns]
-                df = df.join(rdf, on=shared) if shared else df.crossJoin(rdf)
-        assert df is not None
+            shared = [c for c in df.columns if c in rdf.columns]
+            df = df.join(rdf, on=shared) if shared else df.crossJoin(rdf)
         df = df.select(*bag.attrs).persist(StorageLevel.MEMORY_AND_DISK)
         sizes[f"bag{bag.index}"] = df.count()
         out[f"bag{bag.index}"] = df
@@ -172,14 +156,7 @@ def run_adj(
     ]
     mem = derive_memory(query.attrs, raw_specs, cfg.n_servers)
     cm = replace(cm, n_servers=cfg.n_servers, memory_tuples=mem)
-    plan = optimize(
-        query,
-        db,
-        cm,
-        sample_k=cfg.sample_k,
-        seed=cfg.seed,
-        beta_source=cfg.beta_source,
-    )
+    plan = optimize(query, db, cm, sample_k=cfg.sample_k, seed=cfg.seed)
     report.optimization = time.monotonic() - t0
     report.detail["plan"] = {
         "precompute": sorted(plan.precompute),

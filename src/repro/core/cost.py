@@ -1,20 +1,20 @@
 """Cost model and calibration (paper §III-B, "Computing the Cost").
 
-Three unit rates are calibrated by micro-measurement, exactly as the
-paper prescribes:
+Four unit rates are calibrated by micro-measurement, as the paper
+prescribes:
 
 * ``α``  — tuples shuffled per second: time a small real repartition.
 * ``β_pre`` — partial-binding extensions per second when the extended
   node is a pre-computed bag: time a batch of random queries against a
   trie ("querying the trie for candidate values"), probed as the
   Leapfrog kernel probes it.
+* ``β_raw`` — extensions per second when the node is *not* pre-computed
+  and Leapfrog intersects several candidate lists: time a count-only
+  Leapfrog triangle on a fixed random graph. Both β are timed on the
+  one kernel the executor and the sampler run, so the optimizer prices
+  both plan variants on one scale and reads no clock itself.
 * ``γ``  — tuples per second through a Catalyst binary join (the engine
   that materializes pre-computed bags), used inside ``cost_M``.
-
-``β_raw`` (extensions/second when the node is *not* pre-computed) is not
-calibrated here: it is harvested from the sampling statistics of the
-current test-case (§III-B "reusing statistics gathered during sampling")
-and passed in by the planner.
 
 Costs returned are in seconds:
 
@@ -34,7 +34,8 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.hcube.shares import RelSpec, Shares, optimize_shares
-from repro.leapfrog.trie import Trie
+from repro.leapfrog.leapfrog import leapfrog
+from repro.leapfrog.trie import Trie, trie_for_order
 
 
 @dataclass(frozen=True)
@@ -142,21 +143,38 @@ def calibrate_beta_pre(
     return queries / max(best, 1e-9)
 
 
+def calibrate_beta_raw() -> float:
+    """Measure β for raw (not pre-computed) nodes: a count-only Leapfrog
+    triangle ``R(a,b) ⋈ S(b,c) ⋈ T(a,c)`` on a fixed seeded random graph
+    (2,000 nodes, 20,000 edges), every level an intersection of candidate
+    lists. Returns extensions (Σ|T^i|) per second; the fastest of a few
+    repeats is kept."""
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 2_000, size=(20_000, 2), dtype=np.int64)
+    order = ("a", "b", "c")
+    tries = [
+        trie_for_order(rows, attrs, order)
+        for attrs in (("a", "b"), ("b", "c"), ("a", "c"))
+    ]
+    best, extensions = float("inf"), 0
+    for _ in range(3):
+        t0 = time.monotonic()
+        extensions = leapfrog(tries, order, emit=False).extensions
+        best = min(best, time.monotonic() - t0)
+    return extensions / max(best, 1e-9)
+
+
 def default_cost_model(
     spark: SparkSession,
     *,
     n_servers: int = 16,
     memory_tuples: float | None = None,
-    beta_raw: float | None = None,
 ) -> CostModel:
     """Fully calibrated cost model for this session."""
-    beta_pre = calibrate_beta_pre()
     return CostModel(
         alpha=calibrate_alpha(spark),
-        beta_pre=beta_pre,
-        # until sampling stats exist, assume raw extension is ~50× slower
-        # than a single trie lookup (it intersects several candidate lists)
-        beta_raw=beta_raw if beta_raw is not None else beta_pre / 50.0,
+        beta_pre=calibrate_beta_pre(),
+        beta_raw=calibrate_beta_raw(),
         gamma=calibrate_gamma(spark),
         n_servers=n_servers,
         memory_tuples=memory_tuples,

@@ -20,31 +20,26 @@ Estimation follows §III-B/§IV:
   they depend only on the prefix attribute *set* — exactly the union of
   the remaining bags' attributes — so they are well defined before the
   internal order of the prefix is fixed.
-* ``β_i`` is "estimated by sampling some partial bindings, extending
-  them, and taking the average of their extending time" (§III-B): for
-  each candidate bag we sample-extend the query with ``v`` traversed
-  last, once on the raw relations and once with λ(v) replaced by the
-  locally pre-joined candidate relation, and use the observed extension
-  rates. This captures both effects of pre-computation — cheaper
-  per-extension work (one trie instead of several intersections) and
-  fewer partial bindings (the bag relation is semi-join reduced).
-* The sampled per-value count distribution also yields a straggler
-  (hub) share; computation cost divides by the skew-adjusted effective
-  parallelism ``N_eff = max(1, N*·(1 − hub_share))`` — the paper's
-  "last straggler" effect (§VII-B) made explicit in the model.
+* ``cost_E^i = |T^{v_{i−1}}| / (β_i · N)`` prices the i-th extension
+  step, where ``β_i`` is the cost model's ``β_pre`` when ``v`` is
+  pre-computed and ``β_raw`` otherwise, both timed on the Leapfrog
+  kernel (``repro.core.cost``). Both plan variants are thus priced on
+  one scale, and for a given seed the plan depends on the sampled counts
+  only, not on the speed of the machine — as long as no sampling call
+  reaches its safety cap, ``_Estimator.BUDGET_PER_CALL``.
+* ``cost_M``'s |R_v| and pipeline work come from running the bag's
+  binary-join pipeline (:meth:`Bag.join_order`) on the driver; a bag too
+  big for that has its |R_v| sampled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.cost import CostModel
 from repro.core.hypertree import Bag, Hypertree, find_hypertree
 from repro.core.query import JoinQuery
 from repro.core.sampling import (
-    CardinalityEstimate,
     LocalDB,
     estimate_cardinality_local,
     project_db,
@@ -109,44 +104,30 @@ def connected_order(
 class _Estimator:
     """Cached sampling-based estimates over a local database (§IV)."""
 
-    #: cap on locally materialized bag joins (driver memory guard)
+    #: cap on locally joined bag rows (driver memory guard)
     MAX_JOIN_ROWS = 3_000_000
-    #: wall-clock cap per sampling call; hub values can be arbitrarily
-    #: heavy, so every estimate is budgeted and scales by the samples
-    #: actually processed
+    #: wall-clock safety cap per sampling call; hub values can be
+    #: arbitrarily heavy, so a call that reaches it scales by the samples
+    #: it finished, and only then does the estimate depend on the clock
     BUDGET_PER_CALL = 1.0
 
-    def __init__(
-        self,
-        db: LocalDB,
-        query: JoinQuery,
-        tree: Hypertree,
-        k: int,
-        seed: int,
-        k_beta: int = 12,
-        budget_per_call: float = BUDGET_PER_CALL,
-    ):
+    def __init__(self, db: LocalDB, query: JoinQuery, k: int, seed: int):
         self.db = db
         self.query = query
-        self.tree = tree
         self.k = k
-        self.k_beta = k_beta
-        self.budget = budget_per_call
         self.seed = seed
         self._prefix: dict[frozenset[str], float] = {}
-        self._joins: dict[int, np.ndarray | None] = {}
-        self._join_work: dict[int, float] = {}
-        self._beta: dict[tuple[int, bool], CardinalityEstimate | None] = {}
-        self.total_extensions = 0
-        self.total_elapsed = 0.0
+        self._bags: dict[int, tuple[float, float | None]] = {}
 
-    def _order_for(self, attrs) -> tuple[str, ...]:
-        return tuple(a for a in self.query.attrs if a in set(attrs))
-
-    def _track(self, est: CardinalityEstimate) -> CardinalityEstimate:
-        self.total_extensions += est.extensions
-        self.total_elapsed += est.elapsed
-        return est
+    def _sample(self, db: LocalDB, order: Sequence[str]) -> float:
+        est = estimate_cardinality_local(
+            db,
+            order,
+            k=self.k,
+            seed=self.seed,
+            budget_seconds=self.BUDGET_PER_CALL,
+        )
+        return max(est.estimate, 1.0)
 
     # -- prefix binding counts --------------------------------------------
     def prefix_count(self, attrs: frozenset[str]) -> float:
@@ -155,134 +136,57 @@ class _Estimator:
             return 1.0
         if attrs not in self._prefix:
             order = connected_order(attrs, self.query)
-            est = self._track(
-                estimate_cardinality_local(
-                    project_db(self.db, order),
-                    order,
-                    k=self.k,
-                    seed=self.seed,
-                    budget_seconds=self.budget,
-                )
+            self._prefix[attrs] = self._sample(
+                project_db(self.db, order), order
             )
-            self._prefix[attrs] = max(est.estimate, 1.0)
         return self._prefix[attrs]
 
-    # -- local pre-joins ---------------------------------------------------
-    def local_bag_join(self, bag: Bag) -> np.ndarray | None:
-        """Materialize ⋈λ(v) on the driver (size-capped); None if too big.
+    # -- pre-computed bags -------------------------------------------------
+    def _local_join(self, bag: Bag) -> tuple[float, float] | None:
+        """(|⋈λ(v)|, tuples through the pipeline including intermediates)
+        of the bag's binary-join pipeline, run on the driver with pandas
+        hash joins; None once a result exceeds ``MAX_JOIN_ROWS``."""
+        import pandas as pd
 
-        Uses pandas hash joins (C speed) — this is plan-time machinery,
-        not the operator under study."""
-        if bag.index not in self._joins:
-            import pandas as pd
+        df: pd.DataFrame | None = None
+        work = 0.0
+        for r in bag.join_order():
+            attrs, rows = self.db[r.name]
+            nxt = pd.DataFrame(rows, columns=list(attrs))
+            work += len(nxt)
+            if df is None:
+                df = nxt
+            else:
+                shared = [c for c in df.columns if c in nxt.columns]
+                df = (
+                    df.merge(nxt, on=shared)
+                    if shared
+                    else df.merge(nxt, how="cross")
+                )
+                work += len(df)
+            if len(df) > self.MAX_JOIN_ROWS:
+                return None
+        assert df is not None
+        return float(max(len(df), 1)), work
 
-            # greedy join order: always merge the relation sharing the
-            # most attributes with the accumulated result (max filtering)
-            remaining = list(bag.relations)
-            df: pd.DataFrame | None = None
-            work = 0.0  # tuples through the join pipeline (for cost_M)
-            while remaining:
-                if df is None:
-                    r = remaining.pop(0)
-                else:
-                    r = max(
-                        remaining,
-                        key=lambda x: len(set(x.attrs) & set(df.columns)),
-                    )
-                    remaining.remove(r)
-                attrs, rows = self.db[r.name]
-                nxt = pd.DataFrame(rows, columns=list(attrs))
-                work += len(nxt)
-                if df is None:
-                    df = nxt
-                else:
-                    shared = [c for c in df.columns if c in nxt.columns]
-                    df = (
-                        df.merge(nxt, on=shared)
-                        if shared
-                        else df.merge(nxt, how="cross")
-                    )
-                    work += len(df)
-                if len(df) > self.MAX_JOIN_ROWS:
-                    df = None
-                    work = float("inf")  # blow-up: effectively unjoinable
-                    break
-            self._join_work[bag.index] = work
-            self._joins[bag.index] = (
-                None
-                if df is None
-                else df[list(bag.attrs)].to_numpy(dtype=np.int64)
+    def _bag(self, bag: Bag) -> tuple[float, float | None]:
+        if bag.index not in self._bags:
+            sub: LocalDB = {r.name: self.db[r.name] for r in bag.relations}
+            order = connected_order(bag.attr_set, self.query)
+            self._bags[bag.index] = self._local_join(bag) or (
+                self._sample(sub, order),
+                None,
             )
-        return self._joins[bag.index]
-
-    def join_work(self, bag: Bag) -> float | None:
-        """Tuples through the pre-join pipeline (incl. intermediates)."""
-        self.local_bag_join(bag)
-        w = self._join_work.get(bag.index)
-        return w if w is not None and np.isfinite(w) else None
+        return self._bags[bag.index]
 
     def bag_join_size(self, bag: Bag) -> float:
         """|R_v| — exact when the local join fit, else sampled."""
-        rows = self.local_bag_join(bag)
-        if rows is not None:
-            return float(max(len(rows), 1))
-        sub: LocalDB = {r.name: self.db[r.name] for r in bag.relations}
-        est = self._track(
-            estimate_cardinality_local(
-                sub,
-                bag.attrs,
-                k=self.k,
-                seed=self.seed,
-                budget_seconds=self.budget,
-            )
-        )
-        return max(est.estimate, 1.0)
+        return self._bag(bag)[0]
 
-    # -- β measurement (§III-B) -------------------------------------------
-    def beta_stats(self, v: int, pre: bool) -> CardinalityEstimate | None:
-        """Sampled extension statistics for the plan variant that
-        traverses bag ``v`` last, with λ(v) either raw or pre-joined."""
-        key = (v, pre)
-        if key not in self._beta:
-            bag = self.tree.bags[v]
-            if pre:
-                rows = self.local_bag_join(bag)
-                if rows is None:
-                    self._beta[key] = None
-                    return None
-                db_v: LocalDB = {
-                    name: spec
-                    for name, spec in self.db.items()
-                    if name not in {r.name for r in bag.relations}
-                }
-                db_v[f"bag{v}"] = (bag.attrs, rows)
-            else:
-                db_v = dict(self.db)
-            prefix = [
-                a
-                for b in self.tree.bags
-                if b.index != v
-                for a in b.attrs
-            ]
-            order = self._order_for(prefix) + tuple(
-                a for a in self.query.attrs if a not in set(prefix)
-            )
-            self._beta[key] = self._track(
-                estimate_cardinality_local(
-                    db_v,
-                    order,
-                    k=self.k_beta,
-                    seed=self.seed,
-                    budget_seconds=self.budget,
-                )
-            )
-        return self._beta[key]
-
-    @property
-    def beta_raw(self) -> float | None:
-        if self.total_elapsed > 0 and self.total_extensions > 0:
-            return self.total_extensions / self.total_elapsed
-        return None
+    def join_work(self, bag: Bag) -> float | None:
+        """Tuples through the pre-join pipeline (incl. intermediates);
+        None when the local join did not fit."""
+        return self._bag(bag)[1]
 
 
 def _rels_for(
@@ -308,40 +212,16 @@ def optimize(
     sample_k: int = 200,
     seed: int = 0,
     hypertree: Hypertree | None = None,
-    beta_source: str = "sampled",
 ) -> PlanChoice:
     """Run Alg. 2 and return the chosen plan.
 
     ``db`` holds the (driver-local) relations used for sampling-based
-    estimation; execution itself stays in Spark. ``beta_source`` selects
-    how extension rates are obtained: ``"sampled"`` (the paper's §III-B
-    sampling measurement, default) or ``"model"`` (the calibrated
-    β_raw/β_pre constants of the CostModel — cheaper, used by tests to
-    force planner decisions deterministically).
+    estimation; execution itself stays in Spark.
     """
-    if beta_source not in ("sampled", "model"):
-        raise ValueError(f"beta_source must be sampled|model, got {beta_source!r}")
     tree = hypertree or find_hypertree(query)
     sizes = {name: int(rows.shape[0]) for name, (_, rows) in db.items()}
-    est = _Estimator(db, query, tree, sample_k, seed)
+    est = _Estimator(db, query, sample_k, seed)
     cm = cost_model
-
-    def comp_cost(t_prev: float, v: int, pre: bool) -> float:
-        """Computation cost of traversing bag ``v`` last, with or without
-        pre-computing it.
-
-        Sampled mode: the per-value counting time scaled by |val(A)|
-        predicts the sequential whole-query time directly (capturing
-        both cheaper extensions and fewer partial bindings under a
-        pre-joined bag), divided by the skew-adjusted parallelism.
-        Model mode, or no sample (the bag is too big to pre-join
-        locally): the paper's closed form ``cost_E``.
-        """
-        stats = None if beta_source == "model" else est.beta_stats(v, pre=pre)
-        if stats is None:
-            return cm.cost_E(t_prev, precomputed=pre)
-        n_eff = max(1.0, cm.n_servers * (1.0 - stats.hub_share))
-        return stats.seconds_per_value * stats.val_count / n_eff
 
     V = set(range(len(tree.bags)))
     C: frozenset[int] = frozenset()
@@ -359,7 +239,7 @@ def optimize(
             )
             t_prev = est.prefix_count(prefix_attrs)
             cost_c, _ = cm.cost_C(query.attrs, _rels_for(tree, C, sizes, est))
-            cost_no = cost_c + comp_cost(t_prev, v, pre=False)
+            cost_no = cost_c + cm.cost_E(t_prev, precomputed=False)
             if best is None or cost_no < best[0]:
                 best = (cost_no, v, False)
             bag = tree.bags[v]
@@ -373,7 +253,9 @@ def optimize(
                     est.bag_join_size(bag),
                     join_work=est.join_work(bag),
                 )
-                cost_pre = cost_m + cost_c2 + comp_cost(t_prev, v, pre=True)
+                cost_pre = (
+                    cost_m + cost_c2 + cm.cost_E(t_prev, precomputed=True)
+                )
                 if cost_pre < best[0]:
                     best = (cost_pre, v, True)
         assert best is not None, "hypertree has no valid traversal order"
@@ -391,7 +273,7 @@ def optimize(
     est_breakdown = {
         "rounds": round_costs,
         "cost_C": cost_c,
-        "beta_raw": est.beta_raw or cm.beta_raw,
+        "beta_raw": cm.beta_raw,
         "beta_pre": cm.beta_pre,
         "final_relations": final_rels,
     }

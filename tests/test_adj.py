@@ -32,7 +32,7 @@ FAST_CM = CostModel(
 
 
 def cfg(**kw) -> ADJConfig:
-    base = dict(n_servers=4, sample_k=25, beta_source="model")
+    base = dict(n_servers=4, sample_k=25)
     base.update(kw)
     return ADJConfig(**base)
 
@@ -47,7 +47,7 @@ class TestPrecomputeBags:
         db = {r.name: (r.attrs, rows) for r in q.relations}
         # force pre-computation of every multi-relation bag
         cm = CostModel(alpha=1e9, beta_pre=1e9, beta_raw=1e-6, gamma=1e9, n_servers=4)
-        plan = optimize(q, db, cm, sample_k=20, beta_source="model")
+        plan = optimize(q, db, cm, sample_k=20)
         assert plan.precompute, "expected at least one pre-computed bag"
         edges = spark.createDataFrame(EDGES)
         rels = relation_dfs(edges, q)

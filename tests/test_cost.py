@@ -1,7 +1,7 @@
 """Unit tests for the cost model formulas and local calibration."""
 import pytest
 
-from repro.core.cost import CostModel, calibrate_beta_pre
+from repro.core.cost import CostModel, calibrate_beta_pre, calibrate_beta_raw
 
 
 def model(**kw) -> CostModel:
@@ -61,3 +61,10 @@ class TestCalibration:
         assert b1 > 0
         # trie queries are cheap: at least thousands per second
         assert b1 > 1_000
+
+    def test_beta_raw_positive_and_slower_than_a_lookup(self):
+        """β_raw times whole Leapfrog extensions (several candidate lists
+        intersected per binding), β_pre single batched trie lookups."""
+        raw = calibrate_beta_raw()
+        assert raw > 1_000
+        assert raw < calibrate_beta_pre()

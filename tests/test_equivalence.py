@@ -51,7 +51,7 @@ def test_adj_matches_oracle(spark, qname, oracle_counts):
         spark,
         q,
         edges,
-        ADJConfig(n_servers=4, sample_k=20, beta_source="model"),
+        ADJConfig(n_servers=4, sample_k=20),
         cost_model=CM,
     )
     assert rep.result_count == oracle_counts[qname]
@@ -65,7 +65,7 @@ def test_adj_with_precompute_matches_oracle(spark, qname, oracle_counts):
         spark,
         q,
         edges,
-        ADJConfig(n_servers=4, sample_k=20, beta_source="model"),
+        ADJConfig(n_servers=4, sample_k=20),
         cost_model=CM_PRECOMP,
     )
     assert rep.result_count == oracle_counts[qname]

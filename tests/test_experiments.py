@@ -101,15 +101,3 @@ class TestCooptHarness:
         assert r.commfirst.result_count is not None
         assert r.coopt.result_count == r.commfirst.result_count
         assert "Q6" in format_coopt_table(rows)
-
-
-class TestJobs:
-    def test_table1_job_main(self, capsys):
-        import sys
-
-        sys.path.insert(0, "jobs")
-        import table1_datasets
-
-        assert table1_datasets.main(["--scale", "5e-5"]) == 0
-        out = capsys.readouterr().out
-        assert "Table I" in out

@@ -191,13 +191,6 @@ class TestEstimateLocal:
                 cut_above_zero += bool(used and counts[0] > 0)
         assert cut_above_zero > 0
 
-    def test_extension_rate_positive(self):
-        edges = tiny_graph_pdf()
-        _, db = _db_for("Q1", edges)
-        est = estimate_cardinality_local(db, ("a", "b", "c"), k=50)
-        assert est.extensions > 0
-        assert est.extension_rate > 0
-
 
 class TestProjectDB:
     def test_projection_drops_and_dedupes(self):
