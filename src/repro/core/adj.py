@@ -163,6 +163,7 @@ def run_adj(
         "order": plan.order,
         "shares": plan.shares.p,
         "traversal": plan.traversal,
+        "capped": plan.est["capped"],
     }
 
     rels = relation_dfs(edges, query)

@@ -21,7 +21,8 @@ Costs returned are in seconds:
 * ``cost_C(C)``  = Σ |R|·dup(R, p*) / α with ``p*`` from the share
   optimizer (Eq. (3)).
 * ``cost_E^i``   = |T^{v_{i−1}}| / (β_i · N*).
-* ``cost_M(v)``  = shuffle of λ(v) at rate α + join of λ(v) at rate γ.
+* ``cost_M(v)``  = shuffle of λ(v) at rate α + the tuples through its
+  binary-join pipeline at rate γ.
 """
 from __future__ import annotations
 
@@ -50,19 +51,14 @@ class CostModel:
     memory_tuples: float | None = None
 
     # -- paper cost terms --------------------------------------------------
-    def shares_for(
-        self, attrs: Sequence[str], relations: Sequence[RelSpec]
-    ) -> Shares:
-        return optimize_shares(
-            attrs, relations, self.n_servers, self.memory_tuples
-        )
-
     def cost_C(
         self, attrs: Sequence[str], relations: Sequence[RelSpec]
     ) -> tuple[float, Shares]:
         """Communication seconds for shuffling ``relations`` under the
         optimal share vector, and that vector."""
-        sh = self.shares_for(attrs, relations)
+        sh = optimize_shares(
+            attrs, relations, self.n_servers, self.memory_tuples
+        )
         return sh.comm / self.alpha, sh
 
     def cost_E(self, prefix_bindings: float, precomputed: bool) -> float:
@@ -71,20 +67,13 @@ class CostModel:
         beta = self.beta_pre if precomputed else self.beta_raw
         return prefix_bindings / (beta * self.n_servers)
 
-    def cost_M(
-        self,
-        input_sizes: Sequence[int],
-        est_output: float,
-        join_work: float | None = None,
-    ) -> float:
+    def cost_M(self, input_sizes: Sequence[int], join_work: float) -> float:
         """Pre-computing seconds for one bag: shuffle its λ(v) inputs plus
-        join them. ``join_work`` — the total tuples flowing through the
-        binary-join pipeline including intermediates — prices multi-join
-        bags whose intermediate results blow up; without it the inputs +
-        output approximation is used."""
-        tuples_in = float(sum(input_sizes))
-        work = join_work if join_work is not None else tuples_in + est_output
-        return tuples_in / self.alpha + work / self.gamma
+        join them. ``join_work`` is the total tuples flowing through the
+        binary-join pipeline, inputs and every intermediate result
+        included, so a bag whose intermediates blow up is priced by
+        them."""
+        return sum(input_sizes) / self.alpha + join_work / self.gamma
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,17 @@ Estimation follows §III-B/§IV:
   one scale, and for a given seed the plan depends on the sampled counts
   only, not on the speed of the machine — as long as no sampling call
   reaches its safety cap, ``_Estimator.BUDGET_PER_CALL``.
-* ``cost_M``'s |R_v| and pipeline work come from running the bag's
-  binary-join pipeline (:meth:`Bag.join_order`) on the driver; a bag too
-  big for that has its |R_v| sampled.
+* ``cost_M``'s |R_v| and pipeline work are exact: every step of the
+  bag's binary-join pipeline (:meth:`Bag.join_order`) is counted on the
+  driver with count-only Leapfrog, the kernel the sampler and the
+  executor run, whose chunking keeps memory bounded at any bag size.
+
+``PlanChoice.est["capped"]`` lists the prefix estimates (by sampled
+attribute order) that reached the safety cap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.cost import CostModel
 from repro.core.hypertree import Bag, Hypertree, find_hypertree
@@ -45,6 +48,8 @@ from repro.core.sampling import (
     project_db,
 )
 from repro.hcube.shares import RelSpec, Shares
+from repro.leapfrog.leapfrog import leapfrog
+from repro.leapfrog.trie import Trie, trie_for_order
 
 
 @dataclass
@@ -102,10 +107,9 @@ def connected_order(
 
 
 class _Estimator:
-    """Cached sampling-based estimates over a local database (§IV)."""
+    """Cached counts over a local database: sampled prefix binding counts
+    (§IV) and exact bag pipeline counts."""
 
-    #: cap on locally joined bag rows (driver memory guard)
-    MAX_JOIN_ROWS = 3_000_000
     #: wall-clock safety cap per sampling call; hub values can be
     #: arbitrarily heavy, so a call that reaches it scales by the samples
     #: it finished, and only then does the estimate depend on the clock
@@ -117,17 +121,9 @@ class _Estimator:
         self.k = k
         self.seed = seed
         self._prefix: dict[frozenset[str], float] = {}
-        self._bags: dict[int, tuple[float, float | None]] = {}
-
-    def _sample(self, db: LocalDB, order: Sequence[str]) -> float:
-        est = estimate_cardinality_local(
-            db,
-            order,
-            k=self.k,
-            seed=self.seed,
-            budget_seconds=self.BUDGET_PER_CALL,
-        )
-        return max(est.estimate, 1.0)
+        self._bags: dict[int, tuple[float, float]] = {}
+        #: prefix orders whose sample was cut short by ``BUDGET_PER_CALL``
+        self.capped: list[tuple[str, ...]] = []
 
     # -- prefix binding counts --------------------------------------------
     def prefix_count(self, attrs: frozenset[str]) -> float:
@@ -136,56 +132,45 @@ class _Estimator:
             return 1.0
         if attrs not in self._prefix:
             order = connected_order(attrs, self.query)
-            self._prefix[attrs] = self._sample(
-                project_db(self.db, order), order
+            est = estimate_cardinality_local(
+                project_db(self.db, order),
+                order,
+                k=self.k,
+                seed=self.seed,
+                budget_seconds=self.BUDGET_PER_CALL,
             )
+            if est.k < min(self.k, est.val_count):
+                self.capped.append(order)
+            self._prefix[attrs] = max(est.estimate, 1.0)
         return self._prefix[attrs]
 
     # -- pre-computed bags -------------------------------------------------
-    def _local_join(self, bag: Bag) -> tuple[float, float] | None:
-        """(|⋈λ(v)|, tuples through the pipeline including intermediates)
-        of the bag's binary-join pipeline, run on the driver with pandas
-        hash joins; None once a result exceeds ``MAX_JOIN_ROWS``."""
-        import pandas as pd
-
-        df: pd.DataFrame | None = None
-        work = 0.0
-        for r in bag.join_order():
-            attrs, rows = self.db[r.name]
-            nxt = pd.DataFrame(rows, columns=list(attrs))
-            work += len(nxt)
-            if df is None:
-                df = nxt
-            else:
-                shared = [c for c in df.columns if c in nxt.columns]
-                df = (
-                    df.merge(nxt, on=shared)
-                    if shared
-                    else df.merge(nxt, how="cross")
-                )
-                work += len(df)
-            if len(df) > self.MAX_JOIN_ROWS:
-                return None
-        assert df is not None
-        return float(max(len(df), 1)), work
-
-    def _bag(self, bag: Bag) -> tuple[float, float | None]:
+    def _bag(self, bag: Bag) -> tuple[float, float]:
+        """(|R_v|, tuples through the pipeline) of the bag's binary-join
+        pipeline (:meth:`Bag.join_order`), counted exactly: step j joins
+        the first j relations with count-only Leapfrog, binding the
+        attributes in the order the pipeline introduces them. The work is
+        every input plus every step's result."""
         if bag.index not in self._bags:
-            sub: LocalDB = {r.name: self.db[r.name] for r in bag.relations}
-            order = connected_order(bag.attr_set, self.query)
-            self._bags[bag.index] = self._local_join(bag) or (
-                self._sample(sub, order),
-                None,
-            )
+            order: list[str] = []
+            tries: list[Trie] = []
+            work = 0.0
+            for r in bag.join_order():
+                attrs, rows = self.db[r.name]
+                # appending keeps the earlier tries aligned with the order
+                order += [a for a in attrs if a not in order]
+                tries.append(trie_for_order(rows, attrs, order))
+                size = leapfrog(tries, order, emit=False).count
+                work += len(rows) + (size if len(tries) > 1 else 0)
+            self._bags[bag.index] = (float(max(size, 1)), work)
         return self._bags[bag.index]
 
     def bag_join_size(self, bag: Bag) -> float:
-        """|R_v| — exact when the local join fit, else sampled."""
+        """|R_v|, the size of the bag's candidate relation."""
         return self._bag(bag)[0]
 
-    def join_work(self, bag: Bag) -> float | None:
-        """Tuples through the pre-join pipeline (incl. intermediates);
-        None when the local join did not fit."""
+    def join_work(self, bag: Bag) -> float:
+        """Tuples through the pre-join pipeline, intermediates included."""
         return self._bag(bag)[1]
 
 
@@ -250,8 +235,7 @@ def optimize(
                 )
                 cost_m = cm.cost_M(
                     [sizes[r.name] for r in bag.relations],
-                    est.bag_join_size(bag),
-                    join_work=est.join_work(bag),
+                    est.join_work(bag),
                 )
                 cost_pre = (
                     cost_m + cost_c2 + cm.cost_E(t_prev, precomputed=True)
@@ -276,6 +260,7 @@ def optimize(
         "beta_raw": cm.beta_raw,
         "beta_pre": cm.beta_pre,
         "final_relations": final_rels,
+        "capped": est.capped,
     }
     return PlanChoice(
         query=query,

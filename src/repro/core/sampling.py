@@ -37,8 +37,6 @@ class CardinalityEstimate:
     k: int  # samples actually used
     mean_x: float  # mean |T_{A=a}|
     extensions: int  # total Leapfrog extensions during sampling
-    elapsed: float
-    attr: str
     max_x: float = 0.0  # largest sampled |T_{A=a}| (skew indicator)
     count_elapsed: float = 0.0  # pure counting time (excludes trie builds)
 
@@ -120,11 +118,9 @@ def estimate_cardinality_local(
     """Sampling estimator on local numpy relations; samples on order[0].
     ``budget_seconds`` caps the counting loop (scaling by the samples
     actually processed)."""
-    t0 = time.monotonic()
-    attr = tuple(order)[0]
-    vals = _val_of_attr_local(db, attr)
+    vals = _val_of_attr_local(db, tuple(order)[0])
     if len(vals) == 0:
-        return CardinalityEstimate(0.0, 0, 0, 0.0, 0, time.monotonic() - t0, attr)
+        return CardinalityEstimate(0.0, 0, 0, 0.0, 0)
     rng = np.random.default_rng(seed)
     if k >= len(vals):
         sample = vals
@@ -140,8 +136,6 @@ def estimate_cardinality_local(
         k=used,
         mean_x=mean_x,
         extensions=ext,
-        elapsed=time.monotonic() - t0,
-        attr=attr,
         max_x=float(counts.max()) if used else 0.0,
         count_elapsed=count_el,
     )
@@ -152,16 +146,15 @@ def estimate_cardinality_local(
 # ---------------------------------------------------------------------------
 
 def project_db(db: LocalDB, attrs: Sequence[str]) -> LocalDB:
-    """Project every relation onto ``attrs`` (dropping relations with no
-    overlap, deduping rows) — the prefix sub-query of §III-B used to
-    estimate ``|T^{v_i}|``."""
+    """Project every relation onto ``attrs``, dropping relations with no
+    overlap — the prefix sub-query of §III-B used to estimate
+    ``|T^{v_i}|``. Rows are not deduped here: the sampler's tries sort
+    and dedupe every relation they are built from."""
     keep = tuple(attrs)
     out: LocalDB = {}
     for name, (rattrs, rows) in db.items():
         inter = [a for a in rattrs if a in keep]
         if not inter:
             continue
-        cols = [rattrs.index(a) for a in inter]
-        sub = np.unique(rows[:, cols], axis=0) if rows.size else rows[:, cols]
-        out[name] = (tuple(inter), sub)
+        out[name] = (tuple(inter), rows[:, [rattrs.index(a) for a in inter]])
     return out

@@ -194,8 +194,23 @@ def _fmt_secs(x: float, timed_out: bool, budget: float) -> str:
     return f"{x:.1f}"
 
 
+def _plan_cell(rep: PhaseReport) -> str:
+    """The plan a report ran: pre-computed bags, attribute order and the
+    final shares above 1 (Comm-First pre-computes nothing and runs the
+    shares of its plan)."""
+    plan = rep.detail["plan"]
+    shares = rep.detail.get("shares_final", plan["shares"])
+    return (
+        f"bags {{{','.join(map(str, plan.get('precompute', [])))}}}"
+        f"  order {'-'.join(plan['order'])}"
+        "  shares "
+        + (" ".join(f"{a}:{p}" for a, p in shares.items() if p > 1) or "-")
+    )
+
+
 def format_coopt_table(rows: list[CooptRow]) -> str:
-    """Render measured rows next to the paper's reference numbers."""
+    """Render measured rows next to the paper's reference numbers, each
+    followed by the plan it ran."""
     if not rows:
         return "(no rows)"
     ds = rows[0].dataset
@@ -233,8 +248,10 @@ def format_coopt_table(rows: list[CooptRow]) -> str:
                     f"{c}[{pv}]" for c, pv in zip(cells, refs)
                 ]
             name = "Co-Opt" if key == "coopt" else "Comm-First"
-            return f"{r.query:<4}{name:<12}" + "".join(
-                f"{c:>12}" for c in cells
+            return (
+                f"{r.query:<4}{name:<12}"
+                + "".join(f"{c:>12}" for c in cells)
+                + f"\n{'':<16}{_plan_cell(rep)}"
             )
 
         lines.append(render(r.coopt, "coopt"))

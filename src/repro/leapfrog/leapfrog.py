@@ -54,8 +54,6 @@ class LFResult:
     count: int
     intermediate: list[int] = field(default_factory=list)  # |T^i| per level
     extensions: int = 0  # total intersection values produced (β estimation)
-    elapsed: float = 0.0
-    timed_out: bool = False
     # one result count per pinned value, and whether it finished: on a
     # timed-out partial result an unfinished count is a lower bound
     value_counts: np.ndarray | None = None
@@ -146,7 +144,6 @@ class _Join:
         self.rows: list[np.ndarray] = []
 
     def run(self, deadline: float | None) -> LFResult:
-        start = time.monotonic()
         if all(t.n_rows for t in self.tries):
             if self.pinned is None:
                 self.stack.append(_Frontier(0, 1, {}, {}, [], None))
@@ -158,7 +155,7 @@ class _Join:
                 self._extend(root, *cand)
         while self.stack:
             if deadline is not None and time.monotonic() > deadline:
-                partial = self._result(start, timed_out=True)
+                partial = self._result()
                 e = LeapfrogTimeout(
                     f"leapfrog exceeded budget at depth {self.stack[-1].depth} "
                     f"(count so far {self.count})"
@@ -166,9 +163,9 @@ class _Join:
                 e.partial = partial  # lower-bound stats for budgeted estimators
                 raise e
             self._step(self.stack.pop())
-        return self._result(start, timed_out=False)
+        return self._result()
 
-    def _result(self, start: float, timed_out: bool) -> LFResult:
+    def _result(self) -> LFResult:
         rows = None
         done = None
         if self.pinned is not None:
@@ -185,8 +182,6 @@ class _Join:
             count=self.count,
             intermediate=list(self.intermediate),
             extensions=sum(self.intermediate),
-            elapsed=time.monotonic() - start,
-            timed_out=timed_out,
             value_counts=(
                 None if self.value_counts is None else self.value_counts.copy()
             ),

@@ -37,15 +37,16 @@ class TestCostFormulas:
 
     def test_cost_M_components(self):
         cm = model()
-        c = cm.cost_M([100, 200], est_output=50)
+        c = cm.cost_M([100, 200], join_work=350)
         assert c == pytest.approx(300 / 1000.0 + 350 / 2000.0)
 
     def test_cost_M_join_work_override(self):
-        """A bag whose pre-join pipeline blows up intermediates must cost
-        more than the inputs+output approximation suggests."""
+        """A bag whose pre-join pipeline blows up intermediates costs more
+        than one with the same inputs whose pipeline does not: the work,
+        not the inputs, sets the join term."""
         cm = model()
-        cheap = cm.cost_M([100, 100], est_output=50)
-        pricey = cm.cost_M([100, 100], est_output=50, join_work=1_000_000)
+        cheap = cm.cost_M([100, 100], join_work=250)
+        pricey = cm.cost_M([100, 100], join_work=1_000_000)
         assert pricey > cheap
         assert pricey == pytest.approx(200 / 1000.0 + 1_000_000 / 2000.0)
 

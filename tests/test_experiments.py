@@ -79,10 +79,37 @@ class TestCooptHarness:
             "Communication-First", "Q4", "AS", 0.1, 0.0, 0.3, 90.0,
             timed_out=True,
         )
+        co.detail = {
+            "plan": {
+                "precompute": [0, 2],
+                "order": ("b", "d", "e", "c", "a"),
+                "shares": {"a": 1, "b": 2, "c": 1, "d": 2, "e": 1},
+            },
+            "shares_final": {"a": 1, "b": 4, "c": 1, "d": 1, "e": 1},
+        }
+        cf.detail = {
+            "plan": {
+                "order": ("e", "b", "a", "d", "c"),
+                "shares": {"a": 1, "b": 2, "c": 1, "d": 1, "e": 2},
+            },
+        }
         text = format_coopt_table([CooptRow("AS", "Q4", co, cf, 90.0)])
         assert "Table II" in text
         assert ">90" in text
         assert "[107]" in text  # paper reference rendered
+        lines = text.splitlines()
+        # each strategy row is followed by the plan it ran, with the
+        # final (re-solved) shares where there are any
+        co_at = lines.index(next(x for x in lines if x.startswith("Q4  Co-Opt")))
+        cf_at = lines.index(
+            next(x for x in lines if x.startswith("Q4  Comm-First"))
+        )
+        assert "bags {0,2}" in lines[co_at + 1]
+        assert "order b-d-e-c-a" in lines[co_at + 1]
+        assert "shares b:4" in lines[co_at + 1]
+        assert "bags {}" in lines[cf_at + 1]
+        assert "order e-b-a-d-c" in lines[cf_at + 1]
+        assert "shares b:2 e:2" in lines[cf_at + 1]
 
     def test_smoke_run_tiny(self, spark):
         """End-to-end harness smoke test at minuscule scale."""

@@ -2,17 +2,24 @@
 import itertools
 import time
 
+import duckdb
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import optimizer
 from repro.core.cost import CostModel
 from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import PlanChoice, connected_order, optimize
-from repro.core.query import get_query
+from repro.core.query import JoinQuery, Relation, get_query
 from repro.core.sampling import estimate_cardinality_local, project_db
 from repro.hcube.shares import derive_memory
-from repro.synth_data import PAPER_TABLE1, graph_edges_pdf, tiny_graph_pdf
+from repro.synth_data import (
+    PAPER_TABLE1,
+    dataset_pdf,
+    graph_edges_pdf,
+    tiny_graph_pdf,
+)
 
 
 def db_for(qname, edges):
@@ -118,6 +125,98 @@ class TestOptimize:
         assert plan.hypertree is t
 
 
+def duck_prefix_counts(db, rels):
+    """DuckDB's count of each join of the first j ≥ 2 of ``rels``, with
+    the natural join spelled out as equalities (DuckDB plans a chain of
+    ``NATURAL JOIN``s over a cyclic query poorly)."""
+    con = duckdb.connect()
+    try:
+        for r in rels:
+            attrs, rows = db[r.name]
+            con.register(r.name, pd.DataFrame(rows, columns=list(attrs)))
+        counts = []
+        first: dict[str, str] = {}
+        where: list[str] = []
+        for j, r in enumerate(rels):
+            for a in r.attrs:
+                ref = f"{r.name}.{a}"
+                if a in first:
+                    where.append(f"{ref} = {first[a]}")
+                else:
+                    first[a] = ref
+            if j:
+                sql = "SELECT count(*) FROM " + ", ".join(
+                    x.name for x in rels[: j + 1]
+                )
+                if where:
+                    sql += " WHERE " + " AND ".join(where)
+                counts.append(con.execute(sql).fetchone()[0])
+        return counts
+    finally:
+        con.close()
+
+
+class TestBagCounts:
+    """``cost_M``'s |R_v| and pipeline work are exact: each step of
+    ``Bag.join_order()`` counted on the Leapfrog kernel equals DuckDB's
+    count of that join."""
+
+    @staticmethod
+    def check_bags(q, db):
+        est = optimizer._Estimator(db, q, 30, 0)
+        bags = [b for b in find_hypertree(q).bags if b.needs_precompute]
+        for bag in bags:
+            rels = bag.join_order()
+            steps = duck_prefix_counts(db, rels)
+            assert est.bag_join_size(bag) == steps[-1], bag
+            assert est.join_work(bag) == (
+                sum(len(db[r.name][1]) for r in rels) + sum(steps)
+            ), bag
+        return bags
+
+    @pytest.mark.parametrize("qname", ["Q2", "Q3", "Q4", "Q5", "Q6"])
+    def test_graph_query_bags(self, qname):
+        self.check_bags(*db_for(qname, tiny_graph_pdf()))
+
+    def test_bags_with_a_ternary_relation(self):
+        rng = np.random.default_rng(3)
+        schemas = {
+            "R1": ("a", "b", "c"),
+            "R2": ("c", "d"),
+            "R3": ("d", "e"),
+            "R4": ("e", "a"),
+            "R5": ("b", "d"),
+        }
+        q = JoinQuery("T", [Relation(n, a) for n, a in schemas.items()])
+        db = {
+            n: (a, np.unique(rng.integers(0, 12, (400, len(a))), axis=0))
+            for n, a in schemas.items()
+        }
+        bags = self.check_bags(q, db)
+        assert len(bags) == 2
+        assert any("R1" in {r.name for r in b.relations} for b in bags)
+
+    def test_ok_q5_bag_past_the_old_row_cap(self):
+        """Bag {a,b,e} of OK×1e-3 Q5: its pipeline's first step is a
+        14,573,865-row 2-path (counts checked with DuckDB)."""
+        q, db = db_for("Q5", dataset_pdf("OK"))
+        bag = find_hypertree(q).bags[0]
+        assert bag.attr_set == frozenset("abe")
+        est = optimizer._Estimator(db, q, 60, 0)
+        assert est.bag_join_size(bag) == 120_042
+        assert est.join_work(bag) == 15_391_839
+
+
+class TestCapped:
+    def test_capped_prefix_estimates_flagged(self, monkeypatch):
+        monkeypatch.setattr(optimizer._Estimator, "BUDGET_PER_CALL", 1e-9)
+        q, db = db_for("Q4", tiny_graph_pdf())
+        plan = optimize(q, db, model(), sample_k=30)
+        assert plan.est["capped"]
+        for order in plan.est["capped"]:
+            assert set(order) <= set(q.attrs)
+
+
 class TestPrefixOrder:
     @pytest.mark.parametrize("qname", ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"])
     def test_same_estimate_no_more_work_than_query_order(self, qname):
@@ -185,7 +284,13 @@ class TestDeterminism:
 
         def plan():
             p = optimize(q, db, cm, sample_k=60, seed=14)
-            return sorted(p.precompute), p.order, p.shares.p, p.est["rounds"]
+            return (
+                sorted(p.precompute),
+                p.order,
+                p.shares.p,
+                p.est["rounds"],
+                p.est["capped"],
+            )
 
         base = plan()
         real = time.monotonic
@@ -203,6 +308,7 @@ class TestDeterminism:
             budget = plan()
         assert slow == base
         assert budget == base
+        assert base[-1] == []
         # the property holds because no estimate was cut by the budget
         assert estimates
         assert all(e.k == min(k, e.val_count) for e, k in estimates)

@@ -194,6 +194,10 @@ class TestEstimateLocal:
 
 class TestProjectDB:
     def test_projection_drops_and_dedupes(self):
+        """Relations with no overlap are dropped; the duplicate rows a
+        projection leaves are deduped by the sampler's tries, so the
+        estimate over the raw projection equals the one over the
+        deduped projection."""
         db = {
             "R1": (("a", "b"), np.array([[1, 2], [1, 3]], dtype=np.int64)),
             "R2": (("c", "d"), np.array([[5, 6]], dtype=np.int64)),
@@ -202,7 +206,20 @@ class TestProjectDB:
         assert set(out) == {"R1"}
         attrs, rows = out["R1"]
         assert attrs == ("a",)
-        assert rows.tolist() == [[1]]
+        assert rows.tolist() == [[1], [1]]
+        q, gdb = _db_for("Q4", tiny_graph_pdf())
+        for attrs in (("a", "b", "c"), ("b", "d", "e"), ("a", "b", "e", "d")):
+            raw = project_db(gdb, attrs)
+            deduped = {
+                n: (a, np.unique(r, axis=0)) for n, (a, r) in raw.items()
+            }
+            assert any(len(r) < len(raw[n][1]) for n, (_, r) in deduped.items())
+            got, want = (
+                estimate_cardinality_local(d, attrs, k=30, seed=2)
+                for d in (raw, deduped)
+            )
+            assert got.estimate == want.estimate
+            assert (got.val_count, got.k) == (want.val_count, want.k)
 
     def test_projection_keeps_overlap_order(self):
         db = {"R1": (("b", "a"), np.array([[2, 1]], dtype=np.int64))}
