@@ -42,7 +42,7 @@ class ADJConfig:
     seed: int = 0
     mode: str = "pull"  # HCube implementation variant (§V)
     count_only: bool = True
-    budget_seconds: float | None = None  # per-server Leapfrog cap
+    budget_seconds: float | None = None  # Computation-phase wall-clock cap
     cache_entries: int = 0  # >0 → CacheTrieJoin-style cache
 
 

@@ -14,7 +14,9 @@ second exchange.
 The two phases are timed separately (the Communication / Computation
 columns of Tables II–IV): the shuffle result is persisted and one job
 both materializes it and sums the shuffled tuples, then the local joins
-run over the persisted blocks.
+run over the persisted blocks. The Computation phase has one wall-clock
+deadline shared by every server; passing it is a returned state, not a
+failed Spark job.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from pyspark.storagelevel import StorageLevel
 
 from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
 from repro.leapfrog.cache import IntersectionCache
-from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
+from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import Trie
 
 
@@ -53,52 +55,40 @@ def _make_worker(
     schemas: dict[str, tuple[str, ...]],
     order: tuple[str, ...],
     count_only: bool,
-    budget_seconds: float | None,
+    deadline: float | None,
     cache_entries: int,
 ):
     """Build the per-server join function for ``applyInPandas``.
 
-    The closure captures only plain Python data (schemas, order, knobs),
-    so it pickles cleanly to executors.
+    ``deadline`` is the Computation phase's one ``time.time()`` instant,
+    shared by every server; a server that passes it returns what it has
+    counted so far. The closure captures only plain Python data
+    (schemas, order, knobs), so it pickles cleanly to executors.
     """
 
     def worker(pdf: pd.DataFrame) -> pd.DataFrame:
-        deadline = (
-            time.monotonic() + budget_seconds if budget_seconds else None
+        stop = (
+            None if deadline is None
+            else time.monotonic() + (deadline - time.time())
         )
-        arity = {rel: len(attrs) for rel, attrs in schemas.items()}
-        rows_by_rel: dict[str, list[np.ndarray]] = {}
+        # a relation the server received nothing of stays an empty trie
+        rows = {
+            rel: [np.empty((0, len(attrs)), dtype=np.int64)]
+            for rel, attrs in schemas.items()
+        }
         for rel, blocks in pdf.groupby("rel")["block"]:
-            k = arity[rel]
-            chunks = [
+            k = len(schemas[rel])
+            rows[rel] += [
                 np.asarray(block, dtype=np.int64).reshape(-1, k)
                 for block in blocks
-                if len(block)
             ]
-            if chunks:
-                rows_by_rel[rel] = chunks
-        tries = []
-        empty = False
-        for rel, attrs in schemas.items():
-            aligned = order_aligned_attrs(attrs, order)
-            chunks = rows_by_rel.get(rel)
-            if not chunks:
-                empty = True
-                break
-            tries.append(Trie(np.concatenate(chunks), aligned))
-        if empty:
-            if count_only:
-                return pd.DataFrame({"cnt": pd.Series([0], dtype="int64")})
-            return pd.DataFrame(
-                {a: pd.Series(dtype="int64") for a in order}
-            )
+        tries = [
+            Trie(np.concatenate(rows[rel]), order_aligned_attrs(attrs, order))
+            for rel, attrs in schemas.items()
+        ]
         cache = IntersectionCache(cache_entries) if cache_entries else None
         res = leapfrog(
-            tries,
-            order,
-            emit=not count_only,
-            deadline=deadline,
-            cache=cache,
+            tries, order, emit=not count_only, deadline=stop, cache=cache
         )
         if count_only:
             return pd.DataFrame({"cnt": pd.Series([res.count], dtype="int64")})
@@ -122,10 +112,11 @@ def one_round_join(
     """Execute the one-round join; returns result (count or DataFrame of
     tuples over ``order``) plus phase timings.
 
-    A budget overrun is a result state, not an exception: when a server's
-    Leapfrog passes its deadline the Spark job fails fast (local mode does
-    not retry) and the result is ``None`` with ``timings.timed_out`` set —
-    this reproduces the paper's "> 43200 s" timeout cells at laptop scale.
+    A budget overrun is a result state, not an exception: the Computation
+    phase has one wall-clock deadline, ``budget_seconds`` after it starts,
+    at which every server stops its Leapfrog. A phase that takes longer
+    than the budget returns ``None`` with ``timings.timed_out`` set — this
+    reproduces the paper's "> 43200 s" timeout cells at laptop scale.
     """
     order = tuple(order)
     schemas = {k: tuple(v) for k, v in schemas.items()}
@@ -143,39 +134,36 @@ def one_round_join(
         timings.shuffled_tuples = int(shuffled.agg(tuples).first()[0] or 0)
         timings.communication = time.monotonic() - t0
 
-        worker = _make_worker(
-            schemas, order, count_only, budget_seconds, cache_entries
-        )
         out_schema = (
             "cnt long"
             if count_only
             else ", ".join(f"{a} long" for a in order)
         )
         t1 = time.monotonic()
+        deadline = (
+            None if budget_seconds is None else time.time() + budget_seconds
+        )
         joined = shuffled.groupBy("server").applyInPandas(
-            worker, schema=out_schema
+            _make_worker(schemas, order, count_only, deadline, cache_entries),
+            schema=out_schema,
         )
         result: int | DataFrame | None
-        try:
-            if count_only:
-                result = int(joined.agg(F.sum("cnt")).collect()[0][0] or 0)
-                timings.result_count = result
-            else:
-                result = joined.persist(StorageLevel.MEMORY_AND_DISK)
-                timings.result_count = result.count()
-        except Exception as e:  # noqa: BLE001 - Py4J wraps worker errors
-            joined.unpersist()
-            if LeapfrogTimeout.__name__ not in str(e):
-                raise
-            result = None  # a server passed its deadline
+        if count_only:
+            result = int(joined.agg(F.sum("cnt")).collect()[0][0] or 0)
+            timings.result_count = result
+        else:
+            result = joined.persist(StorageLevel.MEMORY_AND_DISK)
+            timings.result_count = result.count()
         timings.computation = time.monotonic() - t1
-        # The paper's cap is wall-clock on the whole run; the per-server
-        # deadline cannot see scheduling/straggler time, so a run whose
-        # computation wall time exceeds the budget is timed out too (its
-        # — correct — result is kept).
-        timings.timed_out = result is None or (
+        # the paper's cap is wall-clock on the whole phase; a server that
+        # stopped at the deadline makes the phase overrun too, so its
+        # partial count is never returned as a result
+        timings.timed_out = (
             budget_seconds is not None and timings.computation > budget_seconds
         )
+        if timings.timed_out:
+            joined.unpersist()
+            result = timings.result_count = None
         return result, timings
     finally:
         shuffled.unpersist()

@@ -344,25 +344,17 @@ def candidate_hypertrees(query: JoinQuery) -> list[Hypertree]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _find_by_name(qname: str) -> Hypertree:
-    from repro.core.query import get_query
-
-    return find_hypertree(get_query(qname), _cacheable=False)
-
-
-def find_hypertree(query: JoinQuery, _cacheable: bool = True) -> Hypertree:
+def find_hypertree(query: JoinQuery) -> Hypertree:
     """The optimal hypertree: min fhw, then min max bag arity, then most
     bags (paper §III-A: minimize the maximal pre-computed relation size)."""
-    from repro.core.query import ALL_QUERIES, get_query
+    return _find(query.name, query.relations)
 
-    if _cacheable and query.name in ALL_QUERIES:
-        canonical = get_query(query.name)
-        if repr(canonical) == repr(query):
-            return _find_by_name(query.name)
-    cands = candidate_hypertrees(query)
+
+@lru_cache(maxsize=None)
+def _find(name: str, relations: tuple[Relation, ...]) -> Hypertree:
+    cands = candidate_hypertrees(JoinQuery(name, relations))
     if not cands:  # pragma: no cover - single-bag candidate always valid
-        raise RuntimeError(f"no valid hypertree for {query.name}")
+        raise RuntimeError(f"no valid hypertree for {name}")
     return min(
         cands,
         key=lambda t: (

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
+from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import trie_for_order
 
 # name -> (attrs, rows ndarray of shape (n, len(attrs)))
@@ -37,7 +37,6 @@ class CardinalityEstimate:
     k: int  # samples actually used
     mean_x: float  # mean |T_{A=a}|
     extensions: int  # total Leapfrog extensions during sampling
-    max_x: float = 0.0  # largest sampled |T_{A=a}| (skew indicator)
     count_elapsed: float = 0.0  # pure counting time (excludes trie builds)
 
 
@@ -80,12 +79,7 @@ def _count_for_values(
     ]
     t0 = time.monotonic()  # tries built above: pure counting time follows
     deadline = t0 + budget_seconds if budget_seconds else None
-    try:
-        res = leapfrog(
-            tries, order, emit=False, pinned=values, deadline=deadline
-        )
-    except LeapfrogTimeout as e:
-        res = e.partial
+    res = leapfrog(tries, order, emit=False, pinned=values, deadline=deadline)
     done = res.value_done
     if not done.any():
         done = res.value_counts > 0
@@ -136,7 +130,6 @@ def estimate_cardinality_local(
         k=used,
         mean_x=mean_x,
         extensions=ext,
-        max_x=float(counts.max()) if used else 0.0,
         count_elapsed=count_el,
     )
 

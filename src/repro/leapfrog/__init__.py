@@ -6,9 +6,5 @@ and ``cache`` adds the bounded intersection cache used by the
 HCubeJ+Cache baseline [28].
 """
 from repro.leapfrog.cache import IntersectionCache  # noqa: F401
-from repro.leapfrog.leapfrog import (  # noqa: F401
-    LeapfrogTimeout,
-    LFResult,
-    leapfrog,
-)
+from repro.leapfrog.leapfrog import LFResult, leapfrog  # noqa: F401
 from repro.leapfrog.trie import Trie  # noqa: F401

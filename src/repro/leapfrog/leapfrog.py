@@ -17,7 +17,8 @@ step for attribute ``order[i]``:
 Frontiers are cut into chunks of about ``_CHUNK`` candidate values, kept
 on a stack and processed depth-first, so live memory stays near
 ``len(order) × _CHUNK`` bindings; the wall-clock deadline (the paper's
-12-hour cap at laptop scale) is checked once per chunk. Per-level
+12-hour cap at laptop scale) is checked once per chunk, and a run that
+passes it stops and returns what it has counted so far. Per-level
 intermediate counts (``|T^i|`` of §III-B and Fig. 8) are recorded, and in
 count-only mode a last level with one participant is summed from the
 range sizes without materializing it.
@@ -42,10 +43,6 @@ from repro.leapfrog.trie import Trie
 _CHUNK = 1 << 15
 
 
-class LeapfrogTimeout(Exception):
-    """Raised when the join exceeds its wall-clock budget."""
-
-
 @dataclass
 class LFResult:
     """Join output plus execution statistics."""
@@ -55,7 +52,7 @@ class LFResult:
     intermediate: list[int] = field(default_factory=list)  # |T^i| per level
     extensions: int = 0  # total intersection values produced (β estimation)
     # one result count per pinned value, and whether it finished: on a
-    # timed-out partial result an unfinished count is a lower bound
+    # run stopped by its deadline an unfinished count is a lower bound
     value_counts: np.ndarray | None = None
     value_done: np.ndarray | None = None
 
@@ -97,10 +94,10 @@ def leapfrog(
     ``emit=False`` counts results without materializing them. ``pinned``
     restricts ``order[0]`` to the given values, each counted on its own
     (``LFResult.value_counts``) — the sampler's ``T_{A=a}`` (§IV).
-    ``deadline`` is an absolute ``time.monotonic()`` instant; exceeding it
-    raises :class:`LeapfrogTimeout`, whose ``partial`` attribute holds the
-    statistics so far. ``cache`` enables the CacheTrieJoin-style
-    intersection memo.
+    ``deadline`` is an absolute ``time.monotonic()`` instant; a run that
+    passes it stops and returns the counts and statistics so far (a lower
+    bound; ``value_done`` marks the pinned values that finished).
+    ``cache`` enables the CacheTrieJoin-style intersection memo.
     """
     return _Join(tries, order, emit, pinned, cache).run(deadline)
 
@@ -155,13 +152,7 @@ class _Join:
                 self._extend(root, *cand)
         while self.stack:
             if deadline is not None and time.monotonic() > deadline:
-                partial = self._result()
-                e = LeapfrogTimeout(
-                    f"leapfrog exceeded budget at depth {self.stack[-1].depth} "
-                    f"(count so far {self.count})"
-                )
-                e.partial = partial  # lower-bound stats for budgeted estimators
-                raise e
+                break
             self._step(self.stack.pop())
         return self._result()
 

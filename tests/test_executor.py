@@ -1,13 +1,17 @@
-"""Spark tests for the one-round executor (HCube + per-server Leapfrog)."""
+"""Tests for the one-round executor (HCube + per-server Leapfrog); the
+per-server worker is also tested on its own, without Spark."""
+import time
+
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.adj import relation_dfs
-from repro.core.executor import one_round_join
+from repro.core.executor import _make_worker, one_round_join
 from repro.core.query import get_query
 from repro.hcube.shares import dup
-from repro.hcube.shuffle import MODES
+from repro.hcube.shuffle import MODES, order_aligned_attrs
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
 
@@ -128,23 +132,22 @@ class TestOneRoundJoin:
         assert t.result_count is None
         assert t.computation > 0
 
-    def test_wall_clock_budget_marks_timeout_but_keeps_result(self, spark):
-        """A run whose computation wall time exceeds the budget is flagged
-        timed_out (the paper's 12 h cap is wall-clock) while the — still
-        correct — count is retained."""
+    def test_wall_clock_overrun_drops_result(self, spark):
+        """A phase whose wall time exceeds the budget is timed out and
+        returns no result, even when its servers finished (the paper's
+        12 h cap is wall-clock on the whole run)."""
         edges = tiny_graph_pdf()
-        q, rels, schemas = _setup(spark, "Q1", edges)
-        # Each per-server Leapfrog finishes in well under 0.3 s, so the
-        # per-task deadline never fires — but Spark stage overhead makes
-        # the computation *wall* time exceed the budget, which must be
-        # reported as a timeout with the (correct) count retained.
+        _, rels, schemas = _setup(spark, "Q1", edges)
+        # Spark's stage overhead alone takes the Computation phase past
+        # 0.05 s, whatever the servers counted before the deadline
         cnt, t = one_round_join(
             spark, rels, schemas, ("a", "b", "c"), SHARES_ABC,
             budget_seconds=0.05,
         )
         assert t.timed_out
         assert t.computation > 0.05
-        assert cnt == _duck_count(q.to_sql(), edges)
+        assert cnt is None
+        assert t.result_count is None
 
     def test_empty_edges(self, spark):
         q = get_query("Q1")
@@ -153,6 +156,58 @@ class TestOneRoundJoin:
         schemas = {r.name: r.attrs for r in q.relations}
         cnt, _ = one_round_join(spark, rels, schemas, ("a", "b", "c"), SHARES_ABC)
         assert cnt == 0
+
+
+class TestWorker:
+    """The per-server join function, called on a server's frame without
+    Spark."""
+
+    ORDER = ("a", "b", "c")
+
+    def _frame(self, edges, drop=()):
+        """Q1's relations as one server receives them: ``(server, rel,
+        block)`` rows, each block flattened in trie column order."""
+        q = get_query("Q1")
+        cols = {c: edges[c].to_numpy() for c in ("src", "dst")}
+        rows = []
+        for r in q.relations:
+            if r.name in drop:
+                continue
+            aligned = order_aligned_attrs(r.attrs, self.ORDER)
+            block = np.stack(
+                [cols[("src", "dst")[r.attrs.index(a)]] for a in aligned],
+                axis=1,
+            )
+            rows.append((0, r.name, block.reshape(-1)))
+        schemas = {r.name: r.attrs for r in q.relations}
+        return schemas, pd.DataFrame(rows, columns=["server", "rel", "block"])
+
+    def _run(self, schemas, pdf, count_only, deadline=None):
+        worker = _make_worker(schemas, self.ORDER, count_only, deadline, 0)
+        return worker(pdf)
+
+    def test_missing_relation_counts_zero(self):
+        schemas, pdf = self._frame(tiny_graph_pdf(), drop=("R3",))
+        out = self._run(schemas, pdf, count_only=True)
+        assert out["cnt"].tolist() == [0]
+        assert out["cnt"].dtype == np.int64
+
+    def test_missing_relation_emits_empty_int64_frame(self):
+        schemas, pdf = self._frame(tiny_graph_pdf(), drop=("R3",))
+        out = self._run(schemas, pdf, count_only=False)
+        assert len(out) == 0
+        assert list(out.columns) == list(self.ORDER)
+        assert (out.dtypes == np.int64).all()
+
+    def test_passed_deadline_counts_nothing(self):
+        """The phase deadline is one wall-clock instant shared by every
+        server: a server that starts after it counts nothing."""
+        schemas, pdf = self._frame(tiny_graph_pdf())
+        assert self._run(schemas, pdf, count_only=True)["cnt"][0] > 0
+        out = self._run(
+            schemas, pdf, count_only=True, deadline=time.time() - 1
+        )
+        assert out["cnt"].tolist() == [0]
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -96,7 +96,7 @@ class TestFindHypertree:
     def test_cached_lookup_is_stable(self):
         a = find_hypertree(get_query("Q5"))
         b = find_hypertree(get_query("Q5"))
-        assert a is b  # lru-cached by query name
+        assert a is b  # memoized by query name and relations
 
 
 class TestTraversalOrders:
