@@ -57,15 +57,16 @@ def run_hcubej(
     dataset: str = "",
     edges_rows: np.ndarray | None = None,
 ) -> PhaseReport:
-    """Execute one test-case with the Communication-First strategy."""
+    """Execute one test-case with the Communication-First strategy.
+
+    Only the edge count is read from ``edges_rows`` (the edges already on
+    the driver); without it the count is one Spark action."""
     cfg = config or ADJConfig()
     name = "HCubeJ+Cache" if cfg.cache_entries else "Communication-First"
     report = PhaseReport(name, query.name, dataset)
 
     t0 = time.monotonic()
-    if edges_rows is None:
-        edges_rows = edges.toPandas().to_numpy(dtype=np.int64)
-    n_edges = int(np.asarray(edges_rows).shape[0])
+    n_edges = edges.count() if edges_rows is None else len(edges_rows)
     specs: list[RelSpec] = [(r.attrs, n_edges) for r in query.relations]
     mem = derive_memory(query.attrs, specs, cfg.n_servers)
     shares = optimize_shares(

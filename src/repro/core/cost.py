@@ -157,7 +157,6 @@ def default_cost_model(
     spark: SparkSession,
     *,
     n_servers: int = 16,
-    memory_tuples: float | None = None,
 ) -> CostModel:
     """Fully calibrated cost model for this session."""
     return CostModel(
@@ -166,5 +165,4 @@ def default_cost_model(
         beta_raw=calibrate_beta_raw(),
         gamma=calibrate_gamma(spark),
         n_servers=n_servers,
-        memory_tuples=memory_tuples,
     )

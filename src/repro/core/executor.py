@@ -46,10 +46,6 @@ class JoinTimings:
     result_count: int | None = None
     timed_out: bool = False
 
-    @property
-    def total(self) -> float:
-        return self.communication + self.computation
-
 
 def _make_worker(
     schemas: dict[str, tuple[str, ...]],

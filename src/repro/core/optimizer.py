@@ -196,14 +196,13 @@ def optimize(
     *,
     sample_k: int = 200,
     seed: int = 0,
-    hypertree: Hypertree | None = None,
 ) -> PlanChoice:
     """Run Alg. 2 and return the chosen plan.
 
     ``db`` holds the (driver-local) relations used for sampling-based
     estimation; execution itself stays in Spark.
     """
-    tree = hypertree or find_hypertree(query)
+    tree = find_hypertree(query)
     sizes = {name: int(rows.shape[0]) for name, (_, rows) in db.items()}
     est = _Estimator(db, query, sample_k, seed)
     cm = cost_model

@@ -57,50 +57,6 @@ def hoeffding_bound(k: int, p: float) -> float:
 # Local estimator
 # ---------------------------------------------------------------------------
 
-def _count_for_values(
-    db: LocalDB,
-    order: Sequence[str],
-    values: np.ndarray,
-    budget_seconds: float | None = None,
-) -> tuple[np.ndarray, int, float, int]:
-    """Leapfrog counts ``|T_{A=a}|`` for each ``a`` (A = order[0]), all in
-    one kernel run with the values pinned at level 0.
-
-    Returns (counts, total_extensions, count_elapsed, processed). A
-    ``budget_seconds`` cap stops early (hub values can be arbitrarily
-    heavy); only the values whose counts finished are returned, and the
-    estimator scales by them. If none finished, the partial counts of the
-    values under way are returned as lower bounds, so even one over-budget
-    hub value yields a usable (if coarse) sample.
-    """
-    order = tuple(order)
-    tries = [
-        trie_for_order(rows, attrs, order) for attrs, rows in db.values()
-    ]
-    t0 = time.monotonic()  # tries built above: pure counting time follows
-    deadline = t0 + budget_seconds if budget_seconds else None
-    res = leapfrog(tries, order, emit=False, pinned=values, deadline=deadline)
-    done = res.value_done
-    if not done.any():
-        done = res.value_counts > 0
-    counts = res.value_counts[done]
-    return counts, res.extensions, time.monotonic() - t0, len(counts)
-
-
-def _val_of_attr_local(db: LocalDB, attr: str) -> np.ndarray:
-    """``val(A)``: intersection of per-relation projections on A."""
-    projs = [
-        np.unique(rows[:, attrs.index(attr)])
-        for attrs, rows in db.values()
-        if attr in attrs
-    ]
-    if not projs:
-        raise ValueError(f"attribute {attr} in no relation")
-    return reduce(
-        lambda x, y: np.intersect1d(x, y, assume_unique=True), projs
-    )
-
-
 def estimate_cardinality_local(
     db: LocalDB,
     order: Sequence[str],
@@ -110,9 +66,24 @@ def estimate_cardinality_local(
     budget_seconds: float | None = None,
 ) -> CardinalityEstimate:
     """Sampling estimator on local numpy relations; samples on order[0].
-    ``budget_seconds`` caps the counting loop (scaling by the samples
-    actually processed)."""
-    vals = _val_of_attr_local(db, tuple(order)[0])
+
+    The tries are built once, in ``order``; ``val(A)`` is the intersection
+    of the level-0 values of those that start with A. The sampled values'
+    counts ``|T_{A=a}|`` come from one kernel run with them pinned at
+    level 0. A ``budget_seconds`` cap stops early (hub values can be
+    arbitrarily heavy) and the estimate scales by the values whose counts
+    finished. If none finished, the partial counts of the values under
+    way are used as lower bounds, so even one over-budget hub value
+    yields a usable (if coarse) sample.
+    """
+    order = tuple(order)
+    tries = [trie_for_order(rows, attrs, order) for attrs, rows in db.values()]
+    projs = [t.values[0] for t in tries if t.attrs[0] == order[0]]
+    if not projs:
+        raise ValueError(f"attribute {order[0]} in no relation")
+    vals = reduce(
+        lambda x, y: np.intersect1d(x, y, assume_unique=True), projs
+    )
     if len(vals) == 0:
         return CardinalityEstimate(0.0, 0, 0, 0.0, 0)
     rng = np.random.default_rng(seed)
@@ -120,17 +91,21 @@ def estimate_cardinality_local(
         sample = vals
     else:
         sample = rng.choice(vals, size=k, replace=False)
-    counts, ext, count_el, used = _count_for_values(
-        db, order, sample, budget_seconds
-    )
-    mean_x = float(counts.mean()) if used else 0.0
+    t0 = time.monotonic()  # tries built above: pure counting time follows
+    deadline = t0 + budget_seconds if budget_seconds else None
+    res = leapfrog(tries, order, emit=False, pinned=sample, deadline=deadline)
+    done = res.value_done
+    if not done.any():
+        done = res.value_counts > 0
+    counts = res.value_counts[done]
+    mean_x = float(counts.mean()) if len(counts) else 0.0
     return CardinalityEstimate(
         estimate=float(len(vals)) * mean_x,
         val_count=int(len(vals)),
-        k=used,
+        k=len(counts),
         mean_x=mean_x,
-        extensions=ext,
-        count_elapsed=count_el,
+        extensions=res.extensions,
+        count_elapsed=time.monotonic() - t0,
     )
 
 

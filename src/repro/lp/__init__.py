@@ -1,8 +1,7 @@
 """Tiny dense linear-programming substrate.
 
 The GHD search needs the fractional edge cover number ρ* of each bag
-(paper §III-A, fhw minimization). The container ships no LP solver
-(no scipy), so this subpackage implements a small two-phase simplex
-adequate for the ≤ 10-variable covers that arise from Q1–Q6.
+(paper §III-A, fhw minimization). The project depends on no LP solver
+(no scipy), so :func:`repro.lp.simplex.fractional_edge_cover` solves the
+cover's dual packing LP with a small one-phase simplex.
 """
-from repro.lp.simplex import LPResult, solve_lp  # noqa: F401

@@ -1,122 +1,19 @@
-"""Two-phase dense simplex for small covering LPs.
+"""One-phase dense simplex for the fractional edge cover LP.
 
-Solves ``minimize c^T x  subject to  A x >= b, x >= 0`` — the form of the
-fractional edge cover LP (one variable per hyperedge, one constraint per
-attribute). Bland's rule is used throughout, so the solver cannot cycle;
-problem sizes here are tiny (≤ ~12 variables, ≤ ~8 constraints), so the
-O(rows·cols) dense tableau is more than fast enough.
+ρ*(attrs), the minimum total weight on hyperedges that covers every
+attribute at least once, is by LP duality the maximum fractional packing:
+maximize Σ_a y_a subject to Σ_{a∈e} y_a ≤ 1 for every edge e, y ≥ 0. The
+packing LP's slack basis is feasible at y = 0 and every y_a ≤ 1 bounds
+it, so one simplex phase solves it; Bland's rule keeps it from cycling.
+The cover x is the slack columns' reduced costs in the optimal tableau.
+Problem sizes are tiny (≤ ~12 edges, ≤ ~8 attributes), so the dense
+tableau is more than fast enough.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class LPResult:
-    """Outcome of :func:`solve_lp`."""
-
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: float
-    x: np.ndarray
-
-
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > _EPS:
-            T[r] -= T[r, col] * T[row]
-    basis[row] = col
-
-
-def _simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
-    """Run simplex to optimality on tableau ``T`` (last row = objective,
-    last column = RHS). Returns "optimal" or "unbounded"."""
-    while True:
-        obj = T[-1, :ncols]
-        # Bland: entering variable = smallest index with negative reduced cost.
-        enter = next((j for j in range(ncols) if obj[j] < -_EPS), None)
-        if enter is None:
-            return "optimal"
-        col = T[:-1, enter]
-        rhs = T[:-1, -1]
-        best_row, best_ratio = None, None
-        for r in range(len(basis)):
-            if col[r] > _EPS:
-                ratio = rhs[r] / col[r]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - _EPS
-                    or (abs(ratio - best_ratio) <= _EPS and basis[r] < basis[best_row])
-                ):
-                    best_row, best_ratio = r, ratio
-        if best_row is None:
-            return "unbounded"
-        _pivot(T, basis, best_row, enter)
-
-
-def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
-    """Minimize ``c @ x`` subject to ``A @ x >= b`` and ``x >= 0``."""
-    c = np.asarray(c, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
-        raise ValueError(f"shape mismatch: c{c.shape} A{A.shape} b{b.shape}")
-
-    # Standard form: A x - s + a = b with b >= 0 (flip rows where b < 0).
-    A = A.copy()
-    b = b.copy()
-    S = -np.eye(m)
-    neg = b < 0
-    A[neg] *= -1
-    b[neg] *= -1
-    S[neg] *= -1
-
-    ncols = n + m  # structural + surplus columns
-    total = ncols + m  # + artificials
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, n:ncols] = S
-    T[:m, ncols:total] = np.eye(m)
-    T[:m, -1] = b
-    basis = list(range(ncols, total))
-
-    # Phase 1: minimize sum of artificials.
-    T[-1, ncols:total] = 1.0
-    for r in range(m):  # price out the artificial basis
-        T[-1] -= T[r]
-    status = _simplex(T, basis, total)
-    if status != "optimal" or T[-1, -1] < -1e-7:
-        return LPResult("infeasible", float("nan"), np.full(n, np.nan))
-
-    # Drive any artificial still basic (at zero) out of the basis.
-    for r in range(m):
-        if basis[r] >= ncols:
-            enter = next(
-                (j for j in range(ncols) if abs(T[r, j]) > _EPS), None
-            )
-            if enter is not None:
-                _pivot(T, basis, r, enter)
-    # Phase 2: original objective over structural + surplus columns.
-    T2 = np.delete(T, np.s_[ncols:total], axis=1)
-    T2[-1, :] = 0.0
-    T2[-1, :n] = c
-    basis2 = list(basis)
-    for r in range(m):
-        if basis2[r] < ncols and abs(T2[-1, basis2[r]]) > _EPS:
-            T2[-1] -= T2[-1, basis2[r]] * T2[r]
-    status = _simplex(T2, basis2, ncols)
-    if status != "optimal":
-        return LPResult("unbounded", float("-inf"), np.full(n, np.nan))
-    x = np.zeros(ncols)
-    for r, bv in enumerate(basis2):
-        if bv < ncols:
-            x[bv] = T2[r, -1]
-    return LPResult("optimal", float(c @ x[:n]), x[:n])
 
 
 def fractional_edge_cover(
@@ -124,24 +21,39 @@ def fractional_edge_cover(
 ) -> tuple[float, np.ndarray]:
     """ρ*(attrs): minimum fractional edge cover of ``attrs`` by ``edges``.
 
-    One LP variable per edge; each attribute must be covered with total
-    weight ≥ 1. Edges disjoint from ``attrs`` are fixed to weight 0 (kept in
-    the returned vector for positional stability). Raises if some attribute
-    is in no edge (the cover is then infeasible).
+    Returns ρ* and the cover, one weight per edge. Edges disjoint from
+    ``attrs`` get weight 0 (kept in the returned vector for positional
+    stability). Raises if some attribute is in no edge (the cover is then
+    infeasible).
     """
-    use = [i for i, e in enumerate(edges) if e & set(attrs)]
     if not attrs:
         return 0.0, np.zeros(len(edges))
-    A = np.array(
-        [[1.0 if a in edges[i] else 0.0 for i in use] for a in attrs]
-    )
-    if (A.sum(axis=1) == 0).any():
-        missing = [a for a, row in zip(attrs, A) if row.sum() == 0]
+    missing = [a for a in attrs if not any(a in e for e in edges)]
+    if missing:
         raise ValueError(f"attributes {missing} not covered by any edge")
-    res = solve_lp(np.ones(len(use)), A, np.ones(len(attrs)))
-    if res.status != "optimal":  # pragma: no cover - cover LPs are feasible
-        raise RuntimeError(f"edge cover LP {res.status}")
-    full = np.zeros(len(edges))
-    for k, i in enumerate(use):
-        full[i] = res.x[k]
-    return res.objective, full
+    use = [i for i, e in enumerate(edges) if e & set(attrs)]
+    m, n = len(use), len(attrs)
+    # One row per edge over [y | slacks | rhs]; the last row holds the
+    # reduced costs of maximizing Σ y, and its last entry the objective.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = [[a in edges[i] for a in attrs] for i in use]
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[-1, :n] = -1.0
+    basis = list(range(n, n + m))
+    while (T[-1, :-1] < -_EPS).any():
+        # Bland: the entering column is the first with a negative reduced
+        # cost, the leaving row the min ratio with the smallest basic index.
+        enter = int(np.argmax(T[-1, :-1] < -_EPS))
+        col = T[:m, enter]
+        pos = col > _EPS
+        ratio = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
+        ties = np.flatnonzero(ratio <= ratio.min() + _EPS)
+        row = min(ties, key=basis.__getitem__)
+        pivot = T[row] / T[row, enter]
+        T -= np.outer(T[:, enter], pivot)
+        T[row] = pivot
+        basis[row] = enter
+    x = np.zeros(len(edges))
+    x[use] = T[-1, n:-1]
+    return float(T[-1, -1]), x

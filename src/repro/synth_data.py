@@ -9,7 +9,6 @@ deterministic in ``seed`` so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 #: name -> (|R| edges in the real graph, real size in MB) from Table I.
 PAPER_TABLE1 = {
@@ -69,13 +68,6 @@ def dataset_pdf(name: str, *, scale: float = GRAPH_SCALE) -> pd.DataFrame:
     return graph_edges_pdf(
         n_edges=max(8, int(real_edges * scale)), seed=_GRAPH_SEEDS[name]
     )
-
-
-def dataset_edges(
-    spark: SparkSession, name: str, *, scale: float = GRAPH_SCALE
-) -> DataFrame:
-    """Spark DataFrame ``(src, dst)`` for a Table I stand-in dataset."""
-    return spark.createDataFrame(dataset_pdf(name, scale=scale))
 
 
 def tiny_graph_pdf(*, n_edges: int = 300, n_nodes: int = 40, seed: int = 7) -> pd.DataFrame:

@@ -118,12 +118,6 @@ class TestOptimize:
         plan = optimize(q, db, model(), sample_k=30)
         assert sorted(plan.order) == ["a", "b", "c"]
 
-    def test_explicit_hypertree_respected(self):
-        q, db = db_for("Q4", tiny_graph_pdf())
-        t = find_hypertree(q)
-        plan = optimize(q, db, model(), sample_k=30, hypertree=t)
-        assert plan.hypertree is t
-
 
 def duck_prefix_counts(db, rels):
     """DuckDB's count of each join of the first j ≥ 2 of ``rels``, with

@@ -2,6 +2,7 @@
 import importlib
 import itertools
 import time
+from functools import reduce
 from unittest import mock
 
 import duckdb
@@ -10,13 +11,13 @@ import pytest
 
 from repro.core.query import get_query
 from repro.core.sampling import (
-    _count_for_values,
     estimate_cardinality_local,
     hoeffding_bound,
     project_db,
     required_samples,
-    _val_of_attr_local,
 )
+from repro.leapfrog import leapfrog
+from repro.leapfrog.trie import trie_for_order
 from repro.synth_data import tiny_graph_pdf
 
 # the module, not the function the package re-exports under its name
@@ -27,6 +28,18 @@ def _db_for(qname, edges):
     q = get_query(qname)
     rows = edges[["src", "dst"]].to_numpy()
     return q, {r.name: (r.attrs, rows) for r in q.relations}
+
+
+def _value_counts(db, order):
+    """val(order[0]) and each value's |T_{A=a}|, from one Leapfrog run
+    with every value pinned."""
+    a = order[0]
+    vals = reduce(np.intersect1d, [
+        rows[:, attrs.index(a)] for attrs, rows in db.values() if a in attrs
+    ])
+    tries = [trie_for_order(rows, attrs, order) for attrs, rows in db.values()]
+    res = leapfrog(tries, order, emit=False, pinned=vals)
+    return vals, res
 
 
 def _duck_count(sql, edges):
@@ -69,24 +82,28 @@ class TestHoeffding:
 
 
 class TestValOfAttr:
+    """val(A) as the estimator sees it: with k ≥ |val(A)| every value is
+    sampled, so ``val_count`` and ``k`` are both |val(A)|."""
+
     def test_triangle_val_a(self):
         q, db = _db_for("Q1", tiny_graph_pdf())
         rows = db["R1"][1]
-        expect = np.intersect1d(np.unique(rows[:, 0]), np.unique(rows[:, 0]))
         # a appears as src of R1 and src of R3 → val(a) = distinct src
-        got = _val_of_attr_local(db, "a")
-        assert got.tolist() == expect.tolist()
+        expect = np.unique(rows[:, 0])
+        est = estimate_cardinality_local(db, ("a", "b", "c"), k=10**9)
+        assert est.val_count == est.k == len(expect)
 
     def test_val_b_is_dst_cap_src(self):
         q, db = _db_for("Q1", tiny_graph_pdf())
         rows = db["R1"][1]
         expect = np.intersect1d(np.unique(rows[:, 1]), np.unique(rows[:, 0]))
-        assert _val_of_attr_local(db, "b").tolist() == expect.tolist()
+        est = estimate_cardinality_local(db, ("b", "a", "c"), k=10**9)
+        assert est.val_count == est.k == len(expect)
 
     def test_missing_attr(self):
         _, db = _db_for("Q1", tiny_graph_pdf())
-        with pytest.raises(ValueError):
-            _val_of_attr_local(db, "z")
+        with pytest.raises(ValueError, match="in no relation"):
+            estimate_cardinality_local(db, ("z", "a", "b", "c"))
 
 
 class TestEstimateLocal:
@@ -138,8 +155,7 @@ class TestEstimateLocal:
         """One batched run gives each value's |T_{A=a}| as DuckDB does."""
         edges = tiny_graph_pdf()
         q, db = _db_for(qname, edges)
-        values = _val_of_attr_local(db, order[0])
-        counts, ext, _, used = _count_for_values(db, order, values)
+        values, res = _value_counts(db, order)
         con = duckdb.connect()
         try:
             con.register("e", edges)
@@ -149,9 +165,15 @@ class TestEstimateLocal:
             ).fetchall())
         finally:
             con.close()
-        assert used == len(values)
-        assert counts.tolist() == [expect.get(int(v), 0) for v in values]
-        assert ext >= counts.sum()
+        assert res.value_done.all()
+        assert res.value_counts.tolist() == [
+            expect.get(int(v), 0) for v in values
+        ]
+        assert res.extensions >= res.value_counts.sum()
+        est = estimate_cardinality_local(db, order, k=10**9)
+        assert (est.val_count, est.k) == (len(values), len(values))
+        assert est.extensions == res.extensions
+        assert est.estimate == pytest.approx(res.value_counts.sum())
 
     def test_passed_budget_uses_fewer_values(self):
         """A budget already spent ends the estimate early, without raising,
@@ -165,16 +187,18 @@ class TestEstimateLocal:
 
     def test_over_budget_hub_value_is_lower_bound(self):
         """When no value finishes within the budget, the value under way
-        still counts with its partial count, a lower bound above 0. The
-        clock advances one second per reading, so each budget cuts after
-        a fixed number of chunks."""
+        still counts with its partial count, a lower bound above 0. R1 is
+        cut to the hub's rows, so val(a) is the hub alone. The clock
+        advances one second per reading, so each budget cuts after a fixed
+        number of chunks."""
         edges = tiny_graph_pdf()
         _, db = _db_for("Q1", edges)
         order = ("a", "b", "c")
-        values = _val_of_attr_local(db, "a")
-        exact, *_ = _count_for_values(db, order, values)
-        hub = values[[int(np.argmax(exact))]]
-        truth = int(exact.max())
+        values, res = _value_counts(db, order)
+        hub = values[int(np.argmax(res.value_counts))]
+        truth = int(res.value_counts.max())
+        attrs, rows = db["R1"]
+        db["R1"] = (attrs, rows[rows[:, attrs.index("a")] == hub])
         cut_above_zero = 0
         with mock.patch.object(lf_module, "_CHUNK", 1):
             for budget in range(2, 10_000):
@@ -182,13 +206,14 @@ class TestEstimateLocal:
                 with mock.patch.object(
                     time, "monotonic", lambda: float(next(clock))
                 ):
-                    counts, _, _, used = _count_for_values(
-                        db, order, hub, budget_seconds=budget
+                    est = estimate_cardinality_local(
+                        db, order, budget_seconds=budget
                     )
-                if used and counts[0] == truth:
+                assert est.val_count == 1
+                if est.k and est.mean_x == truth:
                     break
-                assert used <= 1 and (counts <= truth).all()
-                cut_above_zero += bool(used and counts[0] > 0)
+                assert est.k <= 1 and est.mean_x <= truth
+                cut_above_zero += bool(est.k and est.mean_x > 0)
         assert cut_above_zero > 0
 
 

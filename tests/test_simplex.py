@@ -1,88 +1,31 @@
-"""Unit tests for the LP substrate (two-phase simplex + fractional cover)."""
+"""Unit tests for the LP substrate (the fractional edge cover ρ*)."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp.simplex import LPResult, fractional_edge_cover, solve_lp
+from repro.lp.simplex import fractional_edge_cover
 
 
-class TestSolveLP:
-    def test_simple_cover(self):
-        # min x1+x2 s.t. x1>=1, x2>=1
-        res = solve_lp(np.ones(2), np.eye(2), np.ones(2))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(2.0)
-
-    def test_shared_constraint(self):
-        # min x1+x2 s.t. x1+x2 >= 1 → objective 1
-        res = solve_lp(np.ones(2), np.ones((1, 2)), np.ones(1))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(1.0)
-
-    def test_fractional_optimum_triangle(self):
-        # triangle cover LP: 3 edges ab, bc, ca; each vertex needs >= 1
-        A = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=float)
-        res = solve_lp(np.ones(3), A, np.ones(3))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(1.5)
-
-    def test_infeasible(self):
-        # x1 >= 1 and -x1 >= 0 (i.e. x1 <= 0) with x1 >= 0 → infeasible
-        res = solve_lp(
-            np.ones(1), np.array([[1.0], [-1.0]]), np.array([1.0, 0.5])
-        )
-        assert res.status == "infeasible"
-
-    def test_unbounded(self):
-        # min -x s.t. x >= 0 (constraint x >= 0 trivial) → unbounded below
-        res = solve_lp(np.array([-1.0]), np.array([[1.0]]), np.array([0.0]))
-        assert res.status == "unbounded"
-
-    def test_weighted_objective(self):
-        # min 3x1 + x2 s.t. x1+x2>=2: all weight on x2
-        res = solve_lp(
-            np.array([3.0, 1.0]), np.array([[1.0, 1.0]]), np.array([2.0])
-        )
-        assert res.objective == pytest.approx(2.0)
-        assert res.x[1] == pytest.approx(2.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_lp(np.ones(2), np.eye(3), np.ones(3))
-
-    def test_result_type(self):
-        res = solve_lp(np.ones(1), np.eye(1), np.ones(1))
-        assert isinstance(res, LPResult)
-        assert res.x.shape == (1,)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 4),
-        m=st.integers(1, 4),
-        data=st.data(),
-    )
-    def test_feasible_covers_respect_constraints(self, n, m, data):
-        """Random 0/1 covering LPs: the solver's optimum is feasible and no
-        worse than the all-ones cover (which is feasible whenever every
-        row has a nonzero)."""
-        A = np.array(
-            data.draw(
-                st.lists(
-                    st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                    min_size=m,
-                    max_size=m,
-                )
-            ),
-            dtype=float,
-        )
-        if (A.sum(axis=1) == 0).any():
-            return
-        res = solve_lp(np.ones(n), A, np.ones(m))
-        assert res.status == "optimal"
-        assert (A @ res.x >= 1 - 1e-7).all()
-        assert (res.x >= -1e-9).all()
-        assert res.objective <= n + 1e-7
+def packing_optimum(attrs, edges):
+    """Reference ρ*: the best vertex of the dual packing LP
+    ``max Σ y  s.t.  Σ_{a∈e} y_a ≤ 1 per edge, y ≥ 0``. Each vertex is
+    the solution of n tight rows among the edge and nonnegativity rows."""
+    n = len(attrs)
+    rows = [[float(a in e) for a in attrs] for e in edges] + (-np.eye(n)).tolist()
+    rhs = [1.0] * len(edges) + [0.0] * n
+    A, b = np.array(rows), np.array(rhs)
+    best = -np.inf
+    for tight in itertools.combinations(range(len(rows)), n):
+        M = A[list(tight)]
+        if np.linalg.matrix_rank(M) < n:
+            continue
+        y = np.linalg.solve(M, b[list(tight)])
+        if (A @ y <= b + 1e-9).all():
+            best = max(best, y.sum())
+    return best
 
 
 class TestFractionalEdgeCover:
@@ -127,8 +70,50 @@ class TestFractionalEdgeCover:
         with pytest.raises(ValueError):
             fractional_edge_cover(["z"], [frozenset({"a", "b"})])
 
+    def test_two_disjoint_unit_edges(self):
+        rho, x = fractional_edge_cover(["a", "b"], [frozenset("a"), frozenset("b")])
+        assert rho == pytest.approx(2.0)
+        assert x.tolist() == pytest.approx([1.0, 1.0])
+
+    def test_two_edges_sharing_the_one_attr(self):
+        rho, x = fractional_edge_cover(["a"], [frozenset("a"), frozenset("a")])
+        assert rho == pytest.approx(1.0)
+        assert x.sum() == pytest.approx(1.0)
+
+    def test_fractional_optimum_triangle(self):
+        # triangle cover LP: 3 edges ab, bc, ca; the only optimum puts 1/2
+        # on each edge, so no integral cover reaches ρ* = 3/2
+        edges = [frozenset(p) for p in [("a", "b"), ("b", "c"), ("c", "a")]]
+        rho, x = fractional_edge_cover(["a", "b", "c"], edges)
+        assert rho == pytest.approx(1.5)
+        assert x.tolist() == pytest.approx([0.5, 0.5, 0.5])
+
     def test_irrelevant_edges_get_zero_weight(self):
         edges = [frozenset({"a", "b"}), frozenset({"x", "y"})]
         rho, x = fractional_edge_cover(["a"], edges)
         assert rho == pytest.approx(1.0)
         assert x[1] == pytest.approx(0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edges=st.lists(
+            st.frozensets(st.sampled_from("abcd"), min_size=1, max_size=3),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_random_hypergraphs_match_vertex_enumeration(self, edges, data):
+        """On random hypergraphs (≤ 4 attributes, arity 1–3, ≤ 6 edges) the
+        returned x is a cover summing to ρ*, and ρ* is the packing LP's
+        optimum found by enumerating its vertices."""
+        covered = sorted(set().union(*edges))
+        attrs = data.draw(
+            st.lists(st.sampled_from(covered), min_size=1, unique=True)
+        )
+        rho, x = fractional_edge_cover(attrs, edges)
+        assert (x >= -1e-9).all()
+        for a in attrs:
+            assert sum(x[i] for i, e in enumerate(edges) if a in e) >= 1 - 1e-7
+        assert x.sum() == pytest.approx(rho, abs=1e-7)
+        assert rho == pytest.approx(packing_optimum(attrs, edges), abs=1e-7)
