@@ -42,7 +42,7 @@ class ADJConfig:
     seed: int = 0
     mode: str = "pull"  # HCube implementation variant (§V)
     count_only: bool = True
-    budget_seconds: float | None = None  # Computation-phase wall-clock cap
+    budget_seconds: float | None = None  # one-round join's wall-clock cap
     cache_entries: int = 0  # >0 → CacheTrieJoin-style cache
 
 
@@ -82,6 +82,7 @@ class PhaseReport:
         self.result_count = t.result_count
         self.timed_out = t.timed_out
         self.detail["shuffled_tuples"] = t.shuffled_tuples
+        self.detail["straggler_ratio"] = t.straggler_ratio
         if isinstance(result, DataFrame):
             self.detail["result_df"] = result
 

@@ -11,21 +11,26 @@ PySpark stand-in for a JVM physical operator (see DESIGN.md §2) — that
 reuses the shuffle's partitioning: its plan adds a local sort, not a
 second exchange.
 
-The two phases are timed separately (the Communication / Computation
-columns of Tables II–IV): the shuffle result is persisted and one job
-both materializes it and sums the shuffled tuples, then the local joins
-run over the persisted blocks. The Computation phase has one wall-clock
-deadline shared by every server; passing it is a returned state, not a
-failed Spark job.
+The whole round is one Spark job with no persisted intermediate: the
+per-server stage runs straight on the shuffle. Each server adds one
+``ServerRecord`` (the instant it got its tuples, how many it got, its
+trie-build and Leapfrog seconds) to an accumulator keyed by server, and
+the two phases of Tables II–IV are split at the earliest server start:
+Communication runs from the call's start to that instant, Computation
+from it to the job's end. The clocks of the driver and the workers must
+therefore agree, as they do on one machine. The round has one
+wall-clock deadline, ``budget_seconds`` after the call starts, shared by
+every server; passing it is a returned state, not a failed Spark job.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
+from pyspark.accumulators import Accumulator, AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
@@ -34,6 +39,27 @@ from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
 from repro.leapfrog.cache import IntersectionCache
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import Trie
+
+
+class ServerRecord(NamedTuple):
+    """What one server reports of its part of the round."""
+
+    start: float  # ``time.time()`` instant its worker got its tuples
+    tuples: int  # tuples received, over every relation
+    build_s: float  # block decode and trie builds
+    join_s: float  # Leapfrog
+
+
+class _Records(AccumulatorParam):
+    """A ``{server: ServerRecord}`` dict merged by overwriting, so a
+    retried task replaces its server's record instead of adding to it."""
+
+    def zero(self, value: dict) -> dict:
+        return {}
+
+    def addInPlace(self, value1: dict, value2: dict) -> dict:
+        value1.update(value2)
+        return value1
 
 
 @dataclass
@@ -45,6 +71,14 @@ class JoinTimings:
     shuffled_tuples: int = 0
     result_count: int | None = None
     timed_out: bool = False
+    servers: dict[int, ServerRecord] = field(default_factory=dict)
+
+    @property
+    def straggler_ratio(self) -> float:
+        """Max over mean of the servers' Leapfrog seconds (0 if none)."""
+        join_s = [r.join_s for r in self.servers.values()]
+        mean = sum(join_s) / len(join_s) if join_s else 0.0
+        return max(join_s) / mean if mean else 0.0
 
 
 def _make_worker(
@@ -53,39 +87,45 @@ def _make_worker(
     count_only: bool,
     deadline: float | None,
     cache_entries: int,
+    records: Accumulator,
 ):
     """Build the per-server join function for ``applyInPandas``.
 
-    ``deadline`` is the Computation phase's one ``time.time()`` instant,
-    shared by every server; a server that passes it returns what it has
-    counted so far. The closure captures only plain Python data
-    (schemas, order, knobs), so it pickles cleanly to executors.
+    ``deadline`` is the round's one ``time.time()`` instant, shared by
+    every server; a server that passes it returns what it has counted so
+    far. Each server adds its ``ServerRecord`` to ``records``. The closure
+    captures only plain Python data (schemas, order, knobs) and the
+    accumulator, so it pickles cleanly to executors.
     """
 
     def worker(pdf: pd.DataFrame) -> pd.DataFrame:
-        stop = (
-            None if deadline is None
-            else time.monotonic() + (deadline - time.time())
-        )
+        start = time.time()
+        t0 = time.monotonic()
+        stop = None if deadline is None else t0 + (deadline - start)
         # a relation the server received nothing of stays an empty trie
-        rows = {
+        parts = {
             rel: [np.empty((0, len(attrs)), dtype=np.int64)]
             for rel, attrs in schemas.items()
         }
         for rel, blocks in pdf.groupby("rel")["block"]:
             k = len(schemas[rel])
-            rows[rel] += [
+            parts[rel] += [
                 np.asarray(block, dtype=np.int64).reshape(-1, k)
                 for block in blocks
             ]
+        rows = {rel: np.concatenate(p) for rel, p in parts.items()}
         tries = [
-            Trie(np.concatenate(rows[rel]), order_aligned_attrs(attrs, order))
+            Trie(rows[rel], order_aligned_attrs(attrs, order))
             for rel, attrs in schemas.items()
         ]
+        t1 = time.monotonic()
         cache = IntersectionCache(cache_entries) if cache_entries else None
         res = leapfrog(
             tries, order, emit=not count_only, deadline=stop, cache=cache
         )
+        tuples = sum(len(r) for r in rows.values())
+        rec = ServerRecord(start, tuples, t1 - t0, time.monotonic() - t1)
+        records.add({int(pdf["server"].iloc[0]): rec})
         if count_only:
             return pd.DataFrame({"cnt": pd.Series([res.count], dtype="int64")})
         return pd.DataFrame(res.rows, columns=list(order))
@@ -108,58 +148,50 @@ def one_round_join(
     """Execute the one-round join; returns result (count or DataFrame of
     tuples over ``order``) plus phase timings.
 
-    A budget overrun is a result state, not an exception: the Computation
-    phase has one wall-clock deadline, ``budget_seconds`` after it starts,
-    at which every server stops its Leapfrog. A phase that takes longer
-    than the budget returns ``None`` with ``timings.timed_out`` set — this
+    A budget overrun is a result state, not an exception: the round has
+    one wall-clock deadline, ``budget_seconds`` after the call starts, at
+    which every server stops its Leapfrog. A call whose wall time exceeds
+    the budget returns ``None`` with ``timings.timed_out`` set — this
     reproduces the paper's "> 43200 s" timeout cells at laptop scale.
     """
     order = tuple(order)
     schemas = {k: tuple(v) for k, v in schemas.items()}
     timings = JoinTimings()
 
-    t0 = time.monotonic()
+    submitted = time.time()
+    deadline = None if budget_seconds is None else submitted + budget_seconds
+    records = spark.sparkContext.accumulator({}, _Records())
     shuffled = hcube_shuffle(relations, schemas, order, shares, mode=mode)
-    shuffled = shuffled.persist(StorageLevel.MEMORY_AND_DISK)
-    try:
-        # one job materializes the exchange and counts what it moved
-        arity = " ".join(
-            f"WHEN '{rel}' THEN {len(attrs)}" for rel, attrs in schemas.items()
-        )
-        tuples = F.expr(f"sum(size(block) div CASE rel {arity} END)")
-        timings.shuffled_tuples = int(shuffled.agg(tuples).first()[0] or 0)
-        timings.communication = time.monotonic() - t0
+    out_schema = (
+        "cnt long" if count_only else ", ".join(f"{a} long" for a in order)
+    )
+    joined = shuffled.groupBy("server").applyInPandas(
+        _make_worker(
+            schemas, order, count_only, deadline, cache_entries, records
+        ),
+        schema=out_schema,
+    )
+    result: int | DataFrame | None
+    if count_only:
+        result = int(joined.agg(F.sum("cnt")).collect()[0][0] or 0)
+        timings.result_count = result
+    else:
+        result = joined.persist(StorageLevel.MEMORY_AND_DISK)
+        timings.result_count = result.count()
+    end = time.time()
 
-        out_schema = (
-            "cnt long"
-            if count_only
-            else ", ".join(f"{a} long" for a in order)
-        )
-        t1 = time.monotonic()
-        deadline = (
-            None if budget_seconds is None else time.time() + budget_seconds
-        )
-        joined = shuffled.groupBy("server").applyInPandas(
-            _make_worker(schemas, order, count_only, deadline, cache_entries),
-            schema=out_schema,
-        )
-        result: int | DataFrame | None
-        if count_only:
-            result = int(joined.agg(F.sum("cnt")).collect()[0][0] or 0)
-            timings.result_count = result
-        else:
-            result = joined.persist(StorageLevel.MEMORY_AND_DISK)
-            timings.result_count = result.count()
-        timings.computation = time.monotonic() - t1
-        # the paper's cap is wall-clock on the whole phase; a server that
-        # stopped at the deadline makes the phase overrun too, so its
-        # partial count is never returned as a result
-        timings.timed_out = (
-            budget_seconds is not None and timings.computation > budget_seconds
-        )
-        if timings.timed_out:
-            joined.unpersist()
-            result = timings.result_count = None
-        return result, timings
-    finally:
-        shuffled.unpersist()
+    timings.servers = dict(records.value)
+    start = min((r.start for r in timings.servers.values()), default=end)
+    timings.communication = start - submitted
+    timings.computation = end - start
+    timings.shuffled_tuples = sum(r.tuples for r in timings.servers.values())
+    # the paper's cap is wall-clock on the whole run; a server that
+    # stopped at the deadline makes the round overrun too, so its partial
+    # count is never returned as a result
+    timings.timed_out = (
+        budget_seconds is not None and end - submitted > budget_seconds
+    )
+    if timings.timed_out:
+        joined.unpersist()
+        result = timings.result_count = None
+    return result, timings

@@ -7,16 +7,22 @@ attributes outside ``attrs(R)`` are free. Coordinates are linearized
 into a server id with mixed-radix strides over the attribute order, so a
 tuple's server ids are its own coordinate ``c = Σ pmod(a, p_a)·stride_a``
 plus each of the free coordinates' offsets, which the driver enumerates
-once per relation. Each relation's piece is three SQL expressions: ``c``,
-the tuple array and one ``explode`` over ``c`` plus the offsets.
+once per relation.
+
+The whole shuffle is one plan over the union of every relation's
+``(rel, c, tuple)`` rows: one ``explode`` takes a row's offsets from a
+single ``CASE rel WHEN … THEN array(<offsets>) END`` and adds ``c``.
 
 Implementation variants of §V:
 
 * ``push`` — one shuffled row per (tuple, server): the original
-  tuple-at-a-time MapReduce-style HCube (Fig. 9's baseline).
-* ``pull`` — tuples of a relation are first grouped into *blocks* keyed
-  by their own hash signature (``c`` determines it); whole blocks are
-  replicated to servers (far fewer, larger shuffle rows).
+  tuple-at-a-time MapReduce-style HCube (Fig. 9's baseline). Its plan
+  has one exchange, the one that places servers.
+* ``pull`` — before the exchange, one ``groupBy("rel", "c")`` groups each
+  relation's tuples into *blocks* keyed by their own hash signature
+  (``c`` determines it); whole blocks are replicated to servers (far
+  fewer, larger shuffle rows). Its plan has two exchanges, however many
+  relations the query has.
 
 The paper's Merge variant (blocks shipped as pre-built tries that servers
 merge) is not implemented: every server builds its tries from its
@@ -70,42 +76,6 @@ def n_servers(shares: Mapping[str, int]) -> int:
     return math.prod(shares.values()) if shares else 1
 
 
-def _piece(
-    df: DataFrame,
-    name: str,
-    attrs: tuple[str, ...],
-    order: tuple[str, ...],
-    shares: Mapping[str, int],
-    strd: Mapping[str, int],
-    mode: str,
-) -> DataFrame:
-    """One relation's ``(server, rel, block)`` rows."""
-    aligned = order_aligned_attrs(attrs, order)
-    coord = " + ".join(
-        f"pmod(CAST(`{a}` AS BIGINT), {shares[a]}) * {strd[a]}"
-        for a in aligned
-        if shares.get(a, 1) > 1
-    )
-    tup = ", ".join(f"CAST(`{a}` AS BIGINT)" for a in aligned)
-    blocks = df.selectExpr(f"{coord or '0'} AS c", f"array({tup}) AS block")
-    if mode == "pull":
-        blocks = blocks.groupBy("c").agg(
-            F.expr("flatten(collect_list(block)) AS block")
-        )
-    free = [a for a in order if a not in attrs and shares.get(a, 1) > 1]
-    offsets = [  # server-id offset of every coordinate vector over ``free``
-        sum(i * strd[a] for a, i in zip(free, coord))
-        for coord in itertools.product(*(range(shares[a]) for a in free))
-    ]
-    server = (
-        f"explode(transform(array({', '.join(map(str, offsets))}), "
-        "o -> CAST(o + c AS INT)))"
-        if free
-        else "CAST(c AS INT)"
-    )
-    return blocks.selectExpr(f"{server} AS server", f"'{name}' AS rel", "block")
-
-
 def hcube_shuffle(
     relations: Mapping[str, DataFrame],
     schemas: Mapping[str, Sequence[str]],
@@ -124,13 +94,45 @@ def hcube_shuffle(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     order = tuple(order)
     strd = strides(order, shares)
-    pieces: list[DataFrame] = []
+    rows: list[DataFrame] = []
+    offsets: list[str] = []  # one ``WHEN rel THEN array(...)`` per relation
     for name, df in relations.items():
         attrs = tuple(schemas[name])
         missing = set(attrs) - set(df.columns)
         if missing:
             raise ValueError(f"{name}: columns {missing} missing from DataFrame")
-        pieces.append(_piece(df, name, attrs, order, shares, strd, mode))
-    out = reduce(DataFrame.union, pieces)
+        aligned = order_aligned_attrs(attrs, order)
+        coord = " + ".join(
+            f"pmod(CAST(`{a}` AS BIGINT), {shares[a]}) * {strd[a]}"
+            for a in aligned
+            if shares.get(a, 1) > 1
+        )
+        tup = ", ".join(f"CAST(`{a}` AS BIGINT)" for a in aligned)
+        rows.append(
+            df.selectExpr(
+                f"'{name}' AS rel",
+                f"CAST({coord or 0} AS INT) AS c",
+                f"array({tup}) AS block",
+            )
+        )
+        # server-id offset of every coordinate vector over the free
+        # attributes; a relation with none is sent to ``c`` alone
+        free = [a for a in order if a not in attrs and shares.get(a, 1) > 1]
+        offs = (
+            sum(i * strd[a] for a, i in zip(free, vec))
+            for vec in itertools.product(*(range(shares[a]) for a in free))
+        )
+        offsets.append(f"WHEN '{name}' THEN array({', '.join(map(str, offs))})")
+    out = reduce(DataFrame.union, rows)
+    if mode == "pull":
+        out = out.groupBy("rel", "c").agg(
+            F.expr("flatten(collect_list(block)) AS block")
+        )
+    out = out.selectExpr(
+        f"explode(transform(CASE rel {' '.join(offsets)} END, o -> o + c))"
+        " AS server",
+        "rel",
+        "block",
+    )
     slots = out.sparkSession.sparkContext.defaultParallelism
     return out.repartitionById(min(n_servers(shares), slots), "server")

@@ -120,6 +120,7 @@ class TestRunADJ:
         )
         assert "shares_final" in rep.detail
         assert rep.detail["shuffled_tuples"] > 0
+        assert rep.detail["straggler_ratio"] >= 1.0
         assert rep.detail["plan"]["capped"] == []
 
     def test_order_is_hypertree_valid(self, spark):

@@ -138,16 +138,62 @@ class TestOneRoundJoin:
         12 h cap is wall-clock on the whole run)."""
         edges = tiny_graph_pdf()
         _, rels, schemas = _setup(spark, "Q1", edges)
-        # Spark's stage overhead alone takes the Computation phase past
-        # 0.05 s, whatever the servers counted before the deadline
+        # Spark's job overhead alone takes the round past 0.05 s, whatever
+        # the servers counted before the deadline
         cnt, t = one_round_join(
             spark, rels, schemas, ("a", "b", "c"), SHARES_ABC,
             budget_seconds=0.05,
         )
         assert t.timed_out
-        assert t.computation > 0.05
+        assert t.communication + t.computation > 0.05
         assert cnt is None
         assert t.result_count is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_server_records_sum_to_shuffled_tuples(self, spark, mode):
+        """Every non-empty server reports once; the records' tuples sum
+        to ``shuffled_tuples``, and no server starts before the call."""
+        edges = tiny_graph_pdf()
+        q, rels, schemas = _setup(spark, "Q1", edges)
+        before = time.time()
+        cnt, t = one_round_join(
+            spark, rels, schemas, ("a", "b", "c"), SHARES_ABC, mode=mode
+        )
+        assert set(t.servers) == set(range(4))
+        assert sum(r.tuples for r in t.servers.values()) == t.shuffled_tuples
+        assert t.shuffled_tuples == sum(
+            len(edges) * dup(attrs, SHARES_ABC) for attrs in schemas.values()
+        )
+        assert all(r.start >= before for r in t.servers.values())
+        assert t.straggler_ratio >= 1.0
+
+    def test_no_rdd_left_persisted(self, spark):
+        """Count mode, a timed-out call, and emit mode once its result is
+        unpersisted leave Spark's persisted RDDs as they were."""
+        edges = tiny_graph_pdf()
+        _, rels, schemas = _setup(spark, "Q1", edges)
+        sc = spark.sparkContext
+
+        def persisted():
+            return set(sc._jsc.getPersistentRDDs().keySet())
+
+        before = persisted()
+        one_round_join(spark, rels, schemas, ("a", "b", "c"), SHARES_ABC)
+        assert persisted() == before
+        for count_only in (True, False):
+            res, t = one_round_join(
+                spark, rels, schemas, ("a", "b", "c"), SHARES_ABC,
+                count_only=count_only, budget_seconds=1e-4,
+            )
+            assert t.timed_out and res is None
+            assert persisted() == before
+        df, _ = one_round_join(
+            spark, rels, schemas, ("a", "b", "c"), SHARES_ABC,
+            count_only=False,
+        )
+        assert persisted() != before
+        df.unpersist()
+        assert persisted() == before
 
     def test_empty_edges(self, spark):
         q = get_query("Q1")
@@ -156,6 +202,16 @@ class TestOneRoundJoin:
         schemas = {r.name: r.attrs for r in q.relations}
         cnt, _ = one_round_join(spark, rels, schemas, ("a", "b", "c"), SHARES_ABC)
         assert cnt == 0
+
+
+class _Sink:
+    """Stands in for the Spark accumulator the worker reports to."""
+
+    def __init__(self):
+        self.value = {}
+
+    def add(self, term):
+        self.value.update(term)
 
 
 class TestWorker:
@@ -182,9 +238,27 @@ class TestWorker:
         schemas = {r.name: r.attrs for r in q.relations}
         return schemas, pd.DataFrame(rows, columns=["server", "rel", "block"])
 
-    def _run(self, schemas, pdf, count_only, deadline=None):
-        worker = _make_worker(schemas, self.ORDER, count_only, deadline, 0)
+    def _run(self, schemas, pdf, count_only, deadline=None, records=None):
+        records = _Sink() if records is None else records
+        worker = _make_worker(
+            schemas, self.ORDER, count_only, deadline, 0, records
+        )
         return worker(pdf)
+
+    def test_reports_one_record(self):
+        """A server reports its start, the tuples it received and its
+        trie-build and Leapfrog seconds, keyed by its server id."""
+        edges = tiny_graph_pdf()
+        schemas, pdf = self._frame(edges)
+        pdf["server"] = 3
+        sink = _Sink()
+        before = time.time()
+        self._run(schemas, pdf, count_only=True, records=sink)
+        assert list(sink.value) == [3]
+        rec = sink.value[3]
+        assert before <= rec.start <= time.time()
+        assert rec.tuples == len(schemas) * len(edges)
+        assert rec.build_s >= 0 and rec.join_s >= 0
 
     def test_missing_relation_counts_zero(self):
         schemas, pdf = self._frame(tiny_graph_pdf(), drop=("R3",))

@@ -179,3 +179,23 @@ class TestPlacement:
         )
         assert _exchanges(out) >= 1
         assert _exchanges(per_server) <= _exchanges(out)
+
+
+@pytest.mark.parametrize("mode, expected", [("pull", 2), ("push", 1)])
+def test_one_plan_for_all_relations(spark, mode, expected):
+    """The shuffle's exchanges do not grow with the relations: Pull's one
+    ``groupBy("rel", "c")`` builds every relation's blocks, then one
+    exchange places servers; Push has only the latter."""
+    from repro.core.adj import relation_dfs
+    from repro.core.query import get_query
+    from repro.synth_data import tiny_graph_pdf
+
+    q = get_query("Q4")
+    rels = relation_dfs(spark.createDataFrame(tiny_graph_pdf()), q)
+    schemas = {r.name: r.attrs for r in q.relations}
+    shares = {a: 1 for a in q.attrs} | {"b": 2, "e": 2}
+    out = hcube_shuffle(
+        rels, schemas, ("b", "e", "a", "c", "d"), shares, mode=mode
+    )
+    assert len(rels) == 6
+    assert _exchanges(out) == expected
