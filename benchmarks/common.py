@@ -9,6 +9,7 @@ can be run heavier or lighter:
 """
 import os
 import pathlib
+import subprocess
 
 from repro.experiments.tables import (
     CooptRow,
@@ -24,6 +25,36 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 def write_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def provenance(spark) -> str:
+    """Where a result was measured: git commit and core count."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=RESULTS_DIR.parent,
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+    except OSError:
+        sha = ""
+    return (
+        f"git {sha or 'unknown'}, {os.cpu_count()} cores, "
+        f"{spark.sparkContext.defaultParallelism} task slots"
+    )
+
+
+def warm_alternating(run, keys: tuple, rounds: int) -> dict:
+    """One untimed ``run(keys[-1])`` for the session's cold start, then
+    ``rounds`` rounds that call ``run`` on every key, the first key
+    rotating each round; returns each key's results in call order."""
+    run(keys[-1])
+    out = {k: [] for k in keys}
+    for i in range(rounds):
+        j = i % len(keys)
+        for k in keys[j:] + keys[:j]:
+            out[k].append(run(k))
+    return out
 
 
 def bench_scale(default: float) -> float:

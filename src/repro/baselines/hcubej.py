@@ -16,7 +16,7 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.adj import ADJConfig, PhaseReport, relation_dfs
+from repro.core.adj import ADJConfig, PhaseReport
 from repro.core.executor import one_round_join
 from repro.core.query import JoinQuery
 from repro.hcube.shares import RelSpec, derive_memory, optimize_shares
@@ -59,6 +59,7 @@ def run_hcubej(
 ) -> PhaseReport:
     """Execute one test-case with the Communication-First strategy.
 
+    ``edges`` is ``(src, dst)``; every relation reads it by position.
     Only the edge count is read from ``edges_rows`` (the edges already on
     the driver); without it the count is one Spark action."""
     cfg = config or ADJConfig()
@@ -76,13 +77,11 @@ def run_hcubej(
     report.optimization = time.monotonic() - t0
     report.detail["plan"] = {"order": order, "shares": shares.p}
 
-    rels = relation_dfs(edges, query)
-    schemas = {r.name: r.attrs for r in query.relations}
     report.record_join(
         one_round_join(
             spark,
-            rels,
-            schemas,
+            {r.name: edges for r in query.relations},
+            {r.name: r.attrs for r in query.relations},
             order,
             shares.p,
             mode=cfg.mode,

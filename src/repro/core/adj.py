@@ -140,7 +140,9 @@ def run_adj(
     cost_model: CostModel | None = None,
     edges_rows: np.ndarray | None = None,
 ) -> PhaseReport:
-    """Execute one test-case with the Co-Optimization strategy."""
+    """Execute one test-case with the Co-Optimization strategy.
+
+    ``edges`` is ``(src, dst)``; raw relations read it by position."""
     cfg = config or ADJConfig()
     report = PhaseReport("Co-Optimization", query.name, dataset)
 
@@ -167,7 +169,8 @@ def run_adj(
         "capped": plan.est["capped"],
     }
 
-    rels = relation_dfs(edges, query)
+    # only the Catalyst bag joins need renamed copies
+    rels = relation_dfs(edges, query) if plan.precompute else {}
     t1 = time.monotonic()
     bag_dfs, bag_sizes = precompute_bags(spark, plan, rels)
     # re-solve shares with exact pre-computed sizes (cheap, still within
@@ -181,7 +184,7 @@ def run_adj(
             final_rels[name] = bag_dfs[name]
             final_specs.append((attrs, bag_sizes[name]))
         else:
-            final_rels[name] = rels[name]
+            final_rels[name] = edges
             final_specs.append((attrs, int(edges_rows.shape[0])))
     shares = optimize_shares(
         query.attrs, final_specs, cfg.n_servers, memory_tuples=mem

@@ -148,6 +148,9 @@ def one_round_join(
     """Execute the one-round join; returns result (count or DataFrame of
     tuples over ``order``) plus phase timings.
 
+    ``relations`` is read by position, one scan per distinct DataFrame,
+    as ``hcube_shuffle`` reads it.
+
     A budget overrun is a result state, not an exception: the round has
     one wall-clock deadline, ``budget_seconds`` after the call starts, at
     which every server stops its Leapfrog. A call whose wall time exceeds

@@ -9,9 +9,11 @@ tuple's server ids are its own coordinate ``c = Σ pmod(a, p_a)·stride_a``
 plus each of the free coordinates' offsets, which the driver enumerates
 once per relation.
 
-The whole shuffle is one plan over the union of every relation's
-``(rel, c, tuple)`` rows: one ``explode`` takes a row's offsets from a
-single ``CASE rel WHEN … THEN array(<offsets>) END`` and adds ``c``.
+Columns are read by position, so the relations drawn from one DataFrame
+(every relation of a graph test-case, §VII-A) get their ``(rel, c,
+tuple)`` rows from one ``inline(array(struct(…), …))`` over one scan;
+only distinct DataFrames are unioned. One ``explode`` then takes a row's
+offsets from a single ``CASE rel WHEN … THEN array(<offsets>) END``.
 
 Implementation variants of §V:
 
@@ -85,7 +87,8 @@ def hcube_shuffle(
 ) -> DataFrame:
     """Shuffle all relations into ``(server, rel, block)`` rows.
 
-    ``relations[name]`` must have columns named exactly ``schemas[name]``.
+    Column ``i`` of ``relations[name]`` holds ``schemas[name][i]``;
+    relations given as one DataFrame object share one scan of it.
     The result is partitioned by ``server`` onto ``min(n_servers, slots)``
     Spark partitions, server ``s`` on partition ``s mod P``; a
     ``groupBy("server")`` over it needs no further exchange.
@@ -94,26 +97,24 @@ def hcube_shuffle(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     order = tuple(order)
     strd = strides(order, shares)
-    rows: list[DataFrame] = []
+    # one projection per distinct DataFrame, one ``struct`` per relation
+    sources: dict[int, tuple[DataFrame, list[str]]] = {}
     offsets: list[str] = []  # one ``WHEN rel THEN array(...)`` per relation
     for name, df in relations.items():
         attrs = tuple(schemas[name])
-        missing = set(attrs) - set(df.columns)
-        if missing:
-            raise ValueError(f"{name}: columns {missing} missing from DataFrame")
+        if len(df.columns) != len(attrs):
+            raise ValueError(f"{name}: {df.columns} do not match {attrs}")
+        col = dict(zip(attrs, df.columns))
         aligned = order_aligned_attrs(attrs, order)
         coord = " + ".join(
-            f"pmod(CAST(`{a}` AS BIGINT), {shares[a]}) * {strd[a]}"
+            f"pmod(CAST(`{col[a]}` AS BIGINT), {shares[a]}) * {strd[a]}"
             for a in aligned
             if shares.get(a, 1) > 1
         )
-        tup = ", ".join(f"CAST(`{a}` AS BIGINT)" for a in aligned)
-        rows.append(
-            df.selectExpr(
-                f"'{name}' AS rel",
-                f"CAST({coord or 0} AS INT) AS c",
-                f"array({tup}) AS block",
-            )
+        tup = ", ".join(f"CAST(`{col[a]}` AS BIGINT)" for a in aligned)
+        sources.setdefault(id(df), (df, []))[1].append(
+            f"struct('{name}' AS rel, CAST({coord or 0} AS INT) AS c,"
+            f" array({tup}) AS block)"
         )
         # server-id offset of every coordinate vector over the free
         # attributes; a relation with none is sent to ``c`` alone
@@ -123,7 +124,10 @@ def hcube_shuffle(
             for vec in itertools.product(*(range(shares[a]) for a in free))
         )
         offsets.append(f"WHEN '{name}' THEN array({', '.join(map(str, offs))})")
-    out = reduce(DataFrame.union, rows)
+    out = reduce(DataFrame.union, [
+        df.selectExpr(f"inline(array({', '.join(s)}))")
+        for df, s in sources.values()
+    ])
     if mode == "pull":
         out = out.groupBy("rel", "c").agg(
             F.expr("flatten(collect_list(block)) AS block")

@@ -128,3 +128,64 @@ class TestCooptHarness:
         assert r.commfirst.result_count is not None
         assert r.coopt.result_count == r.commfirst.result_count
         assert "Q6" in format_coopt_table(rows)
+
+
+class _FakeFrame:
+    def persist(self):
+        return self
+
+    def count(self):
+        return 0
+
+    def unpersist(self):
+        return self
+
+
+class _FakeSpark:
+    def createDataFrame(self, pdf):
+        return _FakeFrame()
+
+
+class TestWarmUp:
+    """Spark-free: the runners are replaced by recorders."""
+
+    def test_coopt_table_warm_up_not_reported(self, monkeypatch):
+        import repro.experiments.tables as tables
+
+        calls = []
+
+        def runner(strategy):
+            def run(spark, q, edges, cfg, **kw):
+                calls.append((strategy, q.name))
+                return PhaseReport(
+                    strategy, q.name, detail={"call": len(calls)}
+                )
+
+            return run
+
+        monkeypatch.setattr(tables, "run_adj", runner("co"))
+        monkeypatch.setattr(tables, "run_hcubej", runner("cf"))
+        monkeypatch.setattr(tables, "default_cost_model", lambda *a, **k: None)
+        rows = run_coopt_table(_FakeSpark(), "AS", ("Q4", "Q5"), scale=5e-5)
+        # one untimed join comes first; the timed rows are the later calls
+        assert calls == [
+            ("cf", "Q1"), ("co", "Q4"), ("cf", "Q4"), ("co", "Q5"), ("cf", "Q5")
+        ]
+        reported = [
+            (r.query, r.coopt.detail["call"], r.commfirst.detail["call"])
+            for r in rows
+        ]
+        assert reported == [("Q4", 2, 3), ("Q5", 4, 5)]
+
+    def test_bench_alternation_warm_up_not_reported(self):
+        from benchmarks.common import warm_alternating
+
+        calls = []
+
+        def run(key):
+            calls.append(key)
+            return len(calls)
+
+        out = warm_alternating(run, ("push", "pull"), 3)
+        assert calls == ["pull", "push", "pull", "pull", "push", "push", "pull"]
+        assert out == {"push": [2, 5, 6], "pull": [3, 4, 7]}

@@ -5,6 +5,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.adj import relation_dfs
+from repro.core.query import get_query
 from repro.hcube.shares import dup
 from repro.hcube.shuffle import (
     MODES,
@@ -13,6 +15,7 @@ from repro.hcube.shuffle import (
     order_aligned_attrs,
     strides,
 )
+from repro.synth_data import tiny_graph_pdf
 
 
 ORDER = ("a", "b", "c")
@@ -113,11 +116,13 @@ class TestModes:
         with pytest.raises(ValueError):
             hcube_shuffle(rels, schemas, ORDER, SHARES, mode="teleport")
 
-    def test_missing_column_rejected(self, spark):
+    def test_arity_mismatch_rejected(self, spark):
+        """Columns are read by position, so a relation must have exactly
+        one column per schema attribute."""
         rels, schemas = _rels(spark)
         with pytest.raises(ValueError):
             hcube_shuffle(
-                {"R1": rels["R1"]}, {"R1": ("a", "z")}, ORDER, SHARES
+                {"R1": rels["R1"]}, {"R1": ("a", "b", "c")}, ORDER, SHARES
             )
 
 
@@ -181,21 +186,80 @@ class TestPlacement:
         assert _exchanges(per_server) <= _exchanges(out)
 
 
+Q4 = get_query("Q4")
+Q4_SCHEMAS = {r.name: r.attrs for r in Q4.relations}
+Q4_ORDER = ("b", "e", "a", "c", "d")
+Q4_SHARES = {a: 1 for a in Q4.attrs} | {"b": 2, "e": 2}
+
+
+@pytest.fixture(scope="module")
+def edges(spark):
+    """A persisted ``(src, dst)`` graph, so each scan of it is one
+    ``InMemoryTableScan`` in the executed plan."""
+    df = spark.createDataFrame(tiny_graph_pdf()).persist()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+def _plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
 @pytest.mark.parametrize("mode, expected", [("pull", 2), ("push", 1)])
 def test_one_plan_for_all_relations(spark, mode, expected):
     """The shuffle's exchanges do not grow with the relations: Pull's one
     ``groupBy("rel", "c")`` builds every relation's blocks, then one
     exchange places servers; Push has only the latter."""
-    from repro.core.adj import relation_dfs
-    from repro.core.query import get_query
-    from repro.synth_data import tiny_graph_pdf
-
-    q = get_query("Q4")
-    rels = relation_dfs(spark.createDataFrame(tiny_graph_pdf()), q)
-    schemas = {r.name: r.attrs for r in q.relations}
-    shares = {a: 1 for a in q.attrs} | {"b": 2, "e": 2}
-    out = hcube_shuffle(
-        rels, schemas, ("b", "e", "a", "c", "d"), shares, mode=mode
-    )
+    rels = relation_dfs(spark.createDataFrame(tiny_graph_pdf()), Q4)
+    out = hcube_shuffle(rels, Q4_SCHEMAS, Q4_ORDER, Q4_SHARES, mode=mode)
     assert len(rels) == 6
     assert _exchanges(out) == expected
+
+
+@pytest.mark.parametrize("mode, expected", [("pull", 2), ("push", 1)])
+def test_shared_source_is_one_scan(edges, mode, expected):
+    """Q4's six relations given as one DataFrame are routed by one
+    projection over one scan, with no ``Union``."""
+    out = hcube_shuffle(
+        {name: edges for name in Q4_SCHEMAS},
+        Q4_SCHEMAS,
+        Q4_ORDER,
+        Q4_SHARES,
+        mode=mode,
+    )
+    plan = _plan(out)
+    assert plan.count("InMemoryTableScan") == 1
+    assert "Union" not in plan
+    assert _exchanges(out) == expected
+
+
+def test_one_scan_per_distinct_source(edges):
+    """A shared DataFrame and one distinct DataFrame are two scans."""
+    rels = {name: edges for name in Q4_SCHEMAS}
+    rels["R6"] = edges.select("src", "dst")
+    plan = _plan(hcube_shuffle(rels, Q4_SCHEMAS, Q4_ORDER, Q4_SHARES))
+    assert plan.count("InMemoryTableScan") == 2
+    assert "Union" in plan
+
+
+def _rows(df) -> list:
+    """Each shuffled row as (server, rel, its block's tuples sorted):
+    the block's tuple order is not fixed, its content is."""
+    return sorted(
+        (r["server"], r["rel"], sorted(zip(r["block"][::2], r["block"][1::2])))
+        for r in df.collect()
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_routing_is_positional(edges, mode):
+    """Relations over the raw ``(src, dst)`` columns are shuffled exactly
+    as the renamed per-relation copies are."""
+    shared = {name: edges for name in Q4_SCHEMAS}
+    renamed = relation_dfs(edges, Q4)
+    assert _rows(
+        hcube_shuffle(shared, Q4_SCHEMAS, Q4_ORDER, Q4_SHARES, mode=mode)
+    ) == _rows(
+        hcube_shuffle(renamed, Q4_SCHEMAS, Q4_ORDER, Q4_SHARES, mode=mode)
+    )
