@@ -2,7 +2,7 @@
 
 ``optimize`` on AS/LJ/OK × Q4–Q6 at scale 1e-3 (seed 0, ``sample_k`` 60,
 16 servers), priced by one fixed cost model so the plans do not depend on
-a calibration run: α 6e5, β_pre 5e6, β_raw 9e5, γ 4.8e5, and M from
+a calibration run: α 6e5, β_pre 5e6, β_raw 9e5, γ 0.6 s, and M from
 ``derive_memory`` over the raw relations, as ``run_adj`` derives it.
 
 Each line gives the median of 3 rounds after one warm-up round, and the
@@ -49,7 +49,7 @@ def test_optimize(benchmark, dataset, qname):
         alpha=6e5,
         beta_pre=5e6,
         beta_raw=9e5,
-        gamma=4.8e5,
+        gamma=0.6,
         n_servers=N_SERVERS,
         memory_tuples=derive_memory(
             q.attrs, [(r.attrs, len(rows)) for r in q.relations], N_SERVERS

@@ -92,3 +92,29 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def forced_precompute(monkeypatch):
+    """Make ``run_adj`` pre-compute every bag that can be pre-computed,
+    whatever the cost model prices; returns the list of plans it ran."""
+    import dataclasses
+
+    import repro.core.adj as adj
+
+    plans = []
+    optimize = adj.optimize
+
+    def forced(*args, **kwargs):
+        plan = optimize(*args, **kwargs)
+        plan = dataclasses.replace(
+            plan,
+            precompute=frozenset(
+                b.index for b in plan.hypertree.bags if b.needs_precompute
+            ),
+        )
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(adj, "optimize", forced)
+    return plans

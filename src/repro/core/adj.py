@@ -4,8 +4,9 @@
 strategy and reports the phase breakdown of Tables II–IV:
 
 * **Optimization** — GHD search, sampling-based estimation, Alg. 2.
-* **Pre-Computing** — materializing the chosen bags' candidate relations
-  with native Catalyst binary joins.
+* **Pre-Computing** — materializing the chosen bags' candidate relations,
+  each one emit-mode one-round join (the kernel of the final query) of
+  every relation the bag covers.
 * **Communication** — the one-round HCube shuffle of Q_i's relations.
 * **Computation** — the per-server Leapfrog joins.
 
@@ -19,15 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.storagelevel import StorageLevel
 
 from repro.core.cost import CostModel, default_cost_model
 from repro.core.executor import JoinTimings, one_round_join
-from repro.core.optimizer import PlanChoice, optimize
+from repro.core.optimizer import PlanChoice, bag_join, optimize
 from repro.core.query import JoinQuery
 from repro.core.sampling import LocalDB
 from repro.hcube.shares import RelSpec, derive_memory, optimize_shares
@@ -111,22 +110,34 @@ def local_db(edges_rows: np.ndarray, query: JoinQuery) -> LocalDB:
 def precompute_bags(
     spark: SparkSession,
     plan: PlanChoice,
-    rels: Mapping[str, DataFrame],
+    edges: DataFrame,
+    n_edges: int,
+    config: ADJConfig,
+    mem: float,
 ) -> tuple[dict[str, DataFrame], dict[str, int]]:
-    """Materialize each chosen bag's candidate relation with Catalyst
-    binary joins; returns the bag DataFrames and their exact sizes."""
+    """Materialize each chosen bag's candidate relation: one emit-mode
+    ``one_round_join`` of every relation the bag covers (:func:`bag_join`),
+    each read from ``edges`` by position, with shares optimized under the
+    memory bound ``mem``. Returns the bag DataFrames, their columns in the
+    bag join's attribute order, and their exact sizes."""
     out: dict[str, DataFrame] = {}
     sizes: dict[str, int] = {}
     for bag in plan.precomputed_bags:
-        first, *rest = bag.join_order()
-        df = rels[first.name]
-        for r in rest:
-            rdf = rels[r.name]
-            shared = [c for c in df.columns if c in rdf.columns]
-            df = df.join(rdf, on=shared) if shared else df.crossJoin(rdf)
-        df = df.select(*bag.attrs).persist(StorageLevel.MEMORY_AND_DISK)
-        sizes[f"bag{bag.index}"] = df.count()
-        out[f"bag{bag.index}"] = df
+        rels, order = bag_join(plan.query, bag)
+        schemas = {r.name: r.attrs for r in rels}
+        specs = [(attrs, n_edges) for attrs in schemas.values()]
+        shares = optimize_shares(bag.attrs, specs, config.n_servers, mem)
+        name = f"bag{bag.index}"
+        out[name], timings = one_round_join(
+            spark,
+            dict.fromkeys(schemas, edges),
+            schemas,
+            order,
+            shares.p,
+            mode=config.mode,
+            count_only=False,
+        )
+        sizes[name] = timings.result_count
     return out, sizes
 
 
@@ -154,9 +165,8 @@ def run_adj(
     if edges_rows is None:
         edges_rows = edges.toPandas().to_numpy(dtype=np.int64)
     db = local_db(edges_rows, query)
-    raw_specs: list[RelSpec] = [
-        (r.attrs, int(edges_rows.shape[0])) for r in query.relations
-    ]
+    n_edges = int(edges_rows.shape[0])
+    raw_specs: list[RelSpec] = [(r.attrs, n_edges) for r in query.relations]
     mem = derive_memory(query.attrs, raw_specs, cfg.n_servers)
     cm = replace(cm, n_servers=cfg.n_servers, memory_tuples=mem)
     plan = optimize(query, db, cm, sample_k=cfg.sample_k, seed=cfg.seed)
@@ -169,23 +179,18 @@ def run_adj(
         "capped": plan.est["capped"],
     }
 
-    # only the Catalyst bag joins need renamed copies
-    rels = relation_dfs(edges, query) if plan.precompute else {}
     t1 = time.monotonic()
-    bag_dfs, bag_sizes = precompute_bags(spark, plan, rels)
+    bag_dfs, bag_sizes = precompute_bags(spark, plan, edges, n_edges, cfg, mem)
     # re-solve shares with exact pre-computed sizes (cheap, still within
     # the pre-computing phase)
     final_specs: list[RelSpec] = []
     final_rels: dict[str, DataFrame] = {}
     schemas: dict[str, tuple[str, ...]] = {}
     for name, attrs in plan.final_relations():
-        schemas[name] = attrs
-        if name in bag_dfs:
-            final_rels[name] = bag_dfs[name]
-            final_specs.append((attrs, bag_sizes[name]))
-        else:
-            final_rels[name] = edges
-            final_specs.append((attrs, int(edges_rows.shape[0])))
+        final_rels[name] = df = bag_dfs.get(name, edges)
+        # a bag's columns follow its join's order; edges are read as attrs
+        schemas[name] = tuple(df.columns) if name in bag_dfs else attrs
+        final_specs.append((attrs, bag_sizes.get(name, n_edges)))
     shares = optimize_shares(
         query.attrs, final_specs, cfg.n_servers, memory_tuples=mem
     )

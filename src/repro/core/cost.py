@@ -1,7 +1,7 @@
 """Cost model and calibration (paper §III-B, "Computing the Cost").
 
-Four unit rates are calibrated by micro-measurement, as the paper
-prescribes:
+Three unit rates and one fixed cost are calibrated by micro-measurement,
+as the paper prescribes:
 
 * ``α``  — tuples shuffled per second: time a small real repartition.
 * ``β_pre`` — partial-binding extensions per second when the extended
@@ -13,16 +13,17 @@ prescribes:
   Leapfrog triangle on a fixed random graph. Both β are timed on the
   one kernel the executor and the sampler run, so the optimizer prices
   both plan variants on one scale and reads no clock itself.
-* ``γ``  — tuples per second through a Catalyst binary join (the engine
-  that materializes pre-computed bags), used inside ``cost_M``.
+* ``γ``  — seconds: the fixed wall time of one more one-round join, the
+  engine that materializes pre-computed bags; time a tiny emit-mode
+  ``one_round_join``.
 
 Costs returned are in seconds:
 
 * ``cost_C(C)``  = Σ |R|·dup(R, p*) / α with ``p*`` from the share
   optimizer (Eq. (3)).
 * ``cost_E^i``   = |T^{v_{i−1}}| / (β_i · N*).
-* ``cost_M(v)``  = shuffle of λ(v) at rate α + the tuples through its
-  binary-join pipeline at rate γ.
+* ``cost_M(v)``  = γ + ``cost_C`` of the relations the bag covers + its
+  Leapfrog's W_v extensions / (β_raw · N).
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.executor import one_round_join
 from repro.hcube.shares import RelSpec, Shares, optimize_shares
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import Trie, trie_for_order
@@ -46,7 +48,7 @@ class CostModel:
     alpha: float  # tuples shuffled / second
     beta_pre: float  # extensions / second into a pre-computed bag
     beta_raw: float  # extensions / second into raw relations
-    gamma: float  # tuples / second through a Catalyst binary join
+    gamma: float  # seconds: fixed wall time of one more one-round join
     n_servers: int = 16
     memory_tuples: float | None = None
 
@@ -67,13 +69,14 @@ class CostModel:
         beta = self.beta_pre if precomputed else self.beta_raw
         return prefix_bindings / (beta * self.n_servers)
 
-    def cost_M(self, input_sizes: Sequence[int], join_work: float) -> float:
-        """Pre-computing seconds for one bag: shuffle its λ(v) inputs plus
-        join them. ``join_work`` is the total tuples flowing through the
-        binary-join pipeline, inputs and every intermediate result
-        included, so a bag whose intermediates blow up is priced by
-        them."""
-        return sum(input_sizes) / self.alpha + join_work / self.gamma
+    def cost_M(
+        self, attrs: Sequence[str], covered: Sequence[RelSpec], work: float
+    ) -> float:
+        """Pre-computing seconds for one bag over ``attrs``: one more
+        one-round join (γ), the shuffle of the ``covered`` relations, and
+        its Leapfrog over ``work`` extensions (W_v) at ``β_raw``."""
+        comm, _ = self.cost_C(attrs, covered)
+        return self.gamma + comm + work / (self.beta_raw * self.n_servers)
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +100,25 @@ def calibrate_alpha(spark: SparkSession, k: int = 200_000) -> float:
     return cache["alpha"]
 
 
-def calibrate_gamma(spark: SparkSession, n: int = 100_000) -> float:
-    """Measure γ by timing a Catalyst shuffle-join of two n-row tables."""
+def calibrate_gamma(spark: SparkSession, n: int = 2_000) -> float:
+    """Measure γ, in seconds: the wall time of an emit-mode triangle
+    ``one_round_join`` over an n-edge graph on 4 servers, so small that
+    the round's fixed cost is all it measures."""
     cache = _CAL_CACHE.setdefault(id(spark), {})
     if "gamma" not in cache:
-        a = spark.range(n).withColumn("k", F.col("id") % (n // 4))
-        b = spark.range(n).withColumn("k", (F.col("id") * 7) % (n // 4))
-        a.count()
-        b.count()
-        t0 = time.monotonic()
-        a.join(b, on="k").count()
-        cache["gamma"] = (2 * n) / max(time.monotonic() - t0, 1e-9)
+        edges = spark.range(n).select(
+            (F.col("id") % 97).alias("src"),
+            (F.col("id") * 7 % 89).alias("dst"),
+        )
+        tri = {"R": ("a", "b"), "S": ("b", "c"), "T": ("a", "c")}
+        for _ in range(2):  # the first call warms the path
+            t0 = time.monotonic()
+            df = one_round_join(
+                spark, dict.fromkeys(tri, edges), tri, "abc", {"a": 2, "b": 2},
+                count_only=False,
+            )[0]
+            df.unpersist()
+        cache["gamma"] = time.monotonic() - t0
     return cache["gamma"]
 
 

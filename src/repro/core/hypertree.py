@@ -26,7 +26,7 @@ from repro.lp.simplex import fractional_edge_cover
 
 @dataclass(frozen=True)
 class Bag:
-    """One hypernode of the hypertree: a set of covered relations λ(v)."""
+    """One hypernode of the hypertree: its assigned relations λ(v)."""
 
     index: int
     attrs: tuple[str, ...]
@@ -45,22 +45,6 @@ class Bag:
     @property
     def attr_set(self) -> frozenset[str]:
         return frozenset(self.attrs)
-
-    def join_order(self) -> tuple[Relation, ...]:
-        """λ(v) in the order the pre-computing binary-join pipeline merges
-        it: the first relation, then greedily the one sharing the most
-        attributes with those already joined (max filtering), ties in
-        λ(v) order. ``precompute_bags`` runs this pipeline and ``cost_M``
-        prices it, so both read the order here."""
-        rest = list(self.relations)
-        order = [rest.pop(0)]
-        joined = set(order[0].attrs)
-        while rest:
-            r = max(rest, key=lambda x: len(joined & x.attr_set))
-            rest.remove(r)
-            order.append(r)
-            joined |= r.attr_set
-        return tuple(order)
 
 
 class Hypertree:

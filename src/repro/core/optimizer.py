@@ -27,10 +27,10 @@ Estimation follows §III-B/§IV:
   one scale, and for a given seed the plan depends on the sampled counts
   only, not on the speed of the machine — as long as no sampling call
   reaches its safety cap, ``_Estimator.BUDGET_PER_CALL``.
-* ``cost_M``'s |R_v| and pipeline work are exact: every step of the
-  bag's binary-join pipeline (:meth:`Bag.join_order`) is counted on the
-  driver with count-only Leapfrog, the kernel the sampler and the
-  executor run, whose chunking keeps memory bounded at any bag size.
+* A bag's candidate relation ``R_v`` joins every relation whose schema
+  lies inside the bag (:func:`bag_join`). ``cost_M``'s |R_v| and work
+  W_v are exact: one count-only Leapfrog on the driver counts R_v and
+  its extensions, the kernel and the unit ``β_raw`` is timed in.
 
 ``PlanChoice.est["capped"]`` lists the prefix estimates (by sampled
 attribute order) that reached the safety cap.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.core.cost import CostModel
 from repro.core.hypertree import Bag, Hypertree, find_hypertree
-from repro.core.query import JoinQuery
+from repro.core.query import JoinQuery, Relation
 from repro.core.sampling import (
     LocalDB,
     estimate_cardinality_local,
@@ -49,7 +49,7 @@ from repro.core.sampling import (
 )
 from repro.hcube.shares import RelSpec, Shares
 from repro.leapfrog.leapfrog import leapfrog
-from repro.leapfrog.trie import Trie, trie_for_order
+from repro.leapfrog.trie import trie_for_order
 
 
 @dataclass
@@ -83,12 +83,13 @@ class PlanChoice:
 def connected_order(
     attrs: frozenset[str], query: JoinQuery
 ) -> tuple[str, ...]:
-    """``attrs`` ordered for a prefix estimate: the first in query order
-    (the sampled attribute) leads, then greedily the attribute that shares
-    the most relations with those already bound, ties in query order.
+    """``attrs`` ordered for a prefix estimate or a bag count: the first
+    in query order (the sampled attribute) leads, then greedily the
+    attribute that shares the most relations with those already bound,
+    ties in query order.
 
     Per-value counts do not depend on the order, so neither does the
-    estimate; a connected order only binds fewer partial tuples on the way.
+    count; a connected order only binds fewer partial tuples on the way.
     """
     rest = [a for a in query.attrs if a in attrs]
     order = [rest.pop(0)]
@@ -106,9 +107,19 @@ def connected_order(
     return tuple(order)
 
 
+def bag_join(
+    query: JoinQuery, bag: Bag
+) -> tuple[tuple[Relation, ...], tuple[str, ...]]:
+    """Every relation of ``query`` whose schema lies inside ``bag``, and
+    a connected order to join them in (the bag's query order would bind
+    Q4's {b,d,e} as b×d, a cross product)."""
+    covered = tuple(r for r in query.relations if r.attr_set <= bag.attr_set)
+    return covered, connected_order(bag.attr_set, JoinQuery(bag.name, covered))
+
+
 class _Estimator:
     """Cached counts over a local database: sampled prefix binding counts
-    (§IV) and exact bag pipeline counts."""
+    (§IV) and exact bag counts."""
 
     #: wall-clock safety cap per sampling call; hub values can be
     #: arbitrarily heavy, so a call that reaches it scales by the samples
@@ -121,7 +132,7 @@ class _Estimator:
         self.k = k
         self.seed = seed
         self._prefix: dict[frozenset[str], float] = {}
-        self._bags: dict[int, tuple[float, float]] = {}
+        self._bags: dict[int, tuple[int, int]] = {}
         #: prefix orders whose sample was cut short by ``BUDGET_PER_CALL``
         self.capped: list[tuple[str, ...]] = []
 
@@ -145,33 +156,18 @@ class _Estimator:
         return self._prefix[attrs]
 
     # -- pre-computed bags -------------------------------------------------
-    def _bag(self, bag: Bag) -> tuple[float, float]:
-        """(|R_v|, tuples through the pipeline) of the bag's binary-join
-        pipeline (:meth:`Bag.join_order`), counted exactly: step j joins
-        the first j relations with count-only Leapfrog, binding the
-        attributes in the order the pipeline introduces them. The work is
-        every input plus every step's result."""
+    def bag(self, bag: Bag) -> tuple[int, int]:
+        """(|R_v|, W_v) of :func:`bag_join`, counted exactly by one
+        count-only Leapfrog; W_v is its extensions Σ|T^i|."""
         if bag.index not in self._bags:
-            order: list[str] = []
-            tries: list[Trie] = []
-            work = 0.0
-            for r in bag.join_order():
-                attrs, rows = self.db[r.name]
-                # appending keeps the earlier tries aligned with the order
-                order += [a for a in attrs if a not in order]
-                tries.append(trie_for_order(rows, attrs, order))
-                size = leapfrog(tries, order, emit=False).count
-                work += len(rows) + (size if len(tries) > 1 else 0)
-            self._bags[bag.index] = (float(max(size, 1)), work)
+            rels, order = bag_join(self.query, bag)
+            tries = [
+                trie_for_order(rows, attrs, order)
+                for attrs, rows in (self.db[r.name] for r in rels)
+            ]
+            res = leapfrog(tries, order, emit=False)
+            self._bags[bag.index] = (res.count, res.extensions)
         return self._bags[bag.index]
-
-    def bag_join_size(self, bag: Bag) -> float:
-        """|R_v|, the size of the bag's candidate relation."""
-        return self._bag(bag)[0]
-
-    def join_work(self, bag: Bag) -> float:
-        """Tuples through the pre-join pipeline, intermediates included."""
-        return self._bag(bag)[1]
 
 
 def _rels_for(
@@ -183,7 +179,7 @@ def _rels_for(
     out: list[RelSpec] = []
     for b in tree.bags:
         if b.index in precompute:
-            out.append((b.attrs, int(round(est.bag_join_size(b)))))
+            out.append((b.attrs, est.bag(b)[0]))
         else:
             out.extend((r.attrs, sizes[r.name]) for r in b.relations)
     return out
@@ -232,9 +228,11 @@ def optimize(
                 cost_c2, _ = cm.cost_C(
                     query.attrs, _rels_for(tree, c_new, sizes, est)
                 )
+                covered, _ = bag_join(query, bag)
                 cost_m = cm.cost_M(
-                    [sizes[r.name] for r in bag.relations],
-                    est.join_work(bag),
+                    bag.attrs,
+                    [(r.attrs, sizes[r.name]) for r in covered],
+                    est.bag(bag)[1],
                 )
                 cost_pre = (
                     cost_m + cost_c2 + cm.cost_E(t_prev, precomputed=True)

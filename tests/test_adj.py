@@ -1,14 +1,15 @@
 """End-to-end Spark tests for ADJ (co-optimization strategy, §III)."""
 import itertools
 import math
+from dataclasses import replace
 
 import duckdb
 import pytest
 
-from repro.core.adj import ADJConfig, precompute_bags, relation_dfs, run_adj
+from repro.core.adj import ADJConfig, precompute_bags, run_adj
 from repro.core.cost import CostModel
 from repro.core.hypertree import find_hypertree
-from repro.core.optimizer import optimize
+from repro.core.optimizer import bag_join, optimize
 from repro.core.query import get_query
 from repro.hcube.shares import derive_memory, server_load
 from repro.oracle import assert_equivalent
@@ -27,7 +28,7 @@ def _duck_count(sql, edges_pdf):
 EDGES = tiny_graph_pdf()
 
 FAST_CM = CostModel(
-    alpha=1e6, beta_pre=1e5, beta_raw=1e3, gamma=1e6, n_servers=4
+    alpha=1e6, beta_pre=1e5, beta_raw=1e3, gamma=0.5, n_servers=4
 )
 
 
@@ -39,24 +40,31 @@ def cfg(**kw) -> ADJConfig:
 
 class TestPrecomputeBags:
     def test_bag_join_matches_oracle(self, spark):
-        """A pre-computed bag relation equals the Catalyst/DuckDB join of
-        its λ(v) relations."""
+        """A pre-computed bag relation equals DuckDB's join of every
+        relation the bag covers (Q4's {a,b,e} is R1 ⋈ R5 filtered by R6),
+        and its reported size is its row count."""
         q = get_query("Q4")
-        t = find_hypertree(q)
         rows = EDGES[["src", "dst"]].to_numpy()
         db = {r.name: (r.attrs, rows) for r in q.relations}
-        # force pre-computation of every multi-relation bag
-        cm = CostModel(alpha=1e9, beta_pre=1e9, beta_raw=1e-6, gamma=1e9, n_servers=4)
-        plan = optimize(q, db, cm, sample_k=20)
-        assert plan.precompute, "expected at least one pre-computed bag"
+        plan = optimize(q, db, FAST_CM, sample_k=20)
+        plan = replace(
+            plan,
+            precompute=frozenset(
+                b.index for b in plan.hypertree.bags if b.needs_precompute
+            ),
+        )
         edges = spark.createDataFrame(EDGES)
-        rels = relation_dfs(edges, q)
-        bag_dfs, sizes = precompute_bags(spark, plan, rels)
+        bag_dfs, sizes = precompute_bags(
+            spark, plan, edges, len(rows), cfg(), mem=len(rows)
+        )
+        assert len(bag_dfs) == 3
         for bag in plan.precomputed_bags:
             name = f"bag{bag.index}"
-            sub = get_query("Q4")  # reuse namespace; build SQL by hand
+            rels, _ = bag_join(q, bag)
+            if bag.attr_set == frozenset("abe"):
+                assert [r.name for r in rels] == ["R1", "R5", "R6"]
             froms, wheres, first = [], [], {}
-            for i, r in enumerate(bag.relations):
+            for i, r in enumerate(rels):
                 froms.append(f"e r{i}")
                 for a, c in zip(r.attrs, ("src", "dst")):
                     ref = f"r{i}.{c}"
@@ -82,16 +90,12 @@ class TestRunADJ:
         assert rep.result_count == _duck_count(q.to_sql(), EDGES)
         assert rep.strategy == "Co-Optimization"
 
-    def test_q5_q6_with_forced_precompute(self, spark):
-        """With computation made expensive the plan pre-computes bags and
-        the result is still exact."""
-        cm = CostModel(
-            alpha=1e9, beta_pre=1e9, beta_raw=1e-6, gamma=1e9, n_servers=4
-        )
+    def test_q5_q6_with_forced_precompute(self, spark, forced_precompute):
+        """With every bag pre-computed the result is still exact."""
         for qname in ["Q5", "Q6"]:
             q = get_query(qname)
             edges = spark.createDataFrame(EDGES)
-            rep = run_adj(spark, q, edges, cfg(), cost_model=cm)
+            rep = run_adj(spark, q, edges, cfg(), cost_model=FAST_CM)
             assert rep.detail["plan"]["precompute"], qname
             assert rep.result_count == _duck_count(q.to_sql(), EDGES)
             assert rep.pre_computing > 0

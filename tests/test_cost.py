@@ -1,7 +1,12 @@
 """Unit tests for the cost model formulas and local calibration."""
 import pytest
 
-from repro.core.cost import CostModel, calibrate_beta_pre, calibrate_beta_raw
+from repro.core.cost import (
+    CostModel,
+    calibrate_beta_pre,
+    calibrate_beta_raw,
+    calibrate_gamma,
+)
 
 
 def model(**kw) -> CostModel:
@@ -9,7 +14,7 @@ def model(**kw) -> CostModel:
         alpha=1000.0,
         beta_pre=500.0,
         beta_raw=10.0,
-        gamma=2000.0,
+        gamma=0.5,
         n_servers=4,
         memory_tuples=None,
     )
@@ -36,19 +41,22 @@ class TestCostFormulas:
         assert pre < raw
 
     def test_cost_M_components(self):
-        cm = model()
-        c = cm.cost_M([100, 200], join_work=350)
-        assert c == pytest.approx(300 / 1000.0 + 350 / 2000.0)
+        """γ seconds for the extra round, the shuffle of the covered
+        relations at α, and W_v extensions at β_raw over N servers."""
+        cm = model(gamma=0.6, memory_tuples=150)
+        comm, _ = cm.cost_C(("a", "b", "c"), TRIANGLE)
+        c = cm.cost_M(("a", "b", "c"), TRIANGLE, work=350)
+        assert c == pytest.approx(0.6 + comm + 350 / (10.0 * 4))
 
     def test_cost_M_join_work_override(self):
-        """A bag whose pre-join pipeline blows up intermediates costs more
-        than one with the same inputs whose pipeline does not: the work,
-        not the inputs, sets the join term."""
+        """A bag whose Leapfrog does more extensions costs more than one
+        with the same inputs: the work, not the inputs, sets the join
+        term, and γ is paid however small the bag."""
         cm = model()
-        cheap = cm.cost_M([100, 100], join_work=250)
-        pricey = cm.cost_M([100, 100], join_work=1_000_000)
-        assert pricey > cheap
-        assert pricey == pytest.approx(200 / 1000.0 + 1_000_000 / 2000.0)
+        cheap = cm.cost_M(("a", "b", "c"), TRIANGLE, work=0)
+        pricey = cm.cost_M(("a", "b", "c"), TRIANGLE, work=1_000_000)
+        assert cheap >= cm.gamma
+        assert pricey - cheap == pytest.approx(1_000_000 / (10.0 * 4))
 
     def test_more_servers_cheaper_computation(self):
         c4 = model(n_servers=4).cost_E(1000, precomputed=False)
@@ -69,3 +77,11 @@ class TestCalibration:
         raw = calibrate_beta_raw()
         assert raw > 1_000
         assert raw < calibrate_beta_pre()
+
+    def test_gamma_is_the_seconds_of_one_round(self, spark):
+        """γ is a wall time in seconds, of a warm one-round join so small
+        that nothing but the round's fixed cost shows, and it is cached
+        per session."""
+        gamma = calibrate_gamma(spark)
+        assert 0 < gamma < 30
+        assert calibrate_gamma(spark) == gamma

@@ -4,7 +4,8 @@
 This is the central correctness gate of the reproduction: four
 independently implemented join pipelines (Catalyst binary joins,
 multi-round dataflow, one-round comm-first, one-round co-optimized with
-pre-computation) must produce identical results.
+every bag pre-computed by its own one-round join) must produce identical
+results.
 """
 import duckdb
 import pytest
@@ -13,16 +14,15 @@ from repro.baselines.bigjoin import bigjoin_count
 from repro.baselines.hcubej import run_hcubej
 from repro.baselines.sparksql import sparksql_count
 from repro.core.adj import ADJConfig, run_adj
+from repro.core import optimizer
 from repro.core.cost import CostModel
 from repro.core.query import get_query
+from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
 
 EDGES = tiny_graph_pdf(n_edges=250, n_nodes=30, seed=17)
 
-CM = CostModel(alpha=1e6, beta_pre=1e5, beta_raw=1e3, gamma=1e6, n_servers=4)
-CM_PRECOMP = CostModel(
-    alpha=1e9, beta_pre=1e9, beta_raw=1e-6, gamma=1e9, n_servers=4
-)
+CM = CostModel(alpha=1e6, beta_pre=1e5, beta_raw=1e3, gamma=0.5, n_servers=4)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +57,19 @@ def test_adj_matches_oracle(spark, qname, oracle_counts):
     assert rep.result_count == oracle_counts[qname]
 
 
-@pytest.mark.parametrize("qname", ALL)
-def test_adj_with_precompute_matches_oracle(spark, qname, oracle_counts):
+def _exact_bag_sizes(plan, rows):
+    db = {r.name: (r.attrs, rows) for r in plan.query.relations}
+    est = optimizer._Estimator(db, plan.query, 20, 0)
+    return {f"bag{b.index}": est.bag(b)[0] for b in plan.precomputed_bags}
+
+
+@pytest.mark.parametrize("qname", ALL + ["Q7", "Q8"])
+def test_adj_with_precompute_matches_oracle(
+    spark, qname, oracle_counts, forced_precompute
+):
+    """Every bag that can be pre-computed is: the one-round bag joins and
+    the final join together count what DuckDB counts, and each bag's size
+    is the optimizer's exact |R_v|."""
     q = get_query(qname)
     edges = spark.createDataFrame(EDGES)
     rep = run_adj(
@@ -66,9 +77,32 @@ def test_adj_with_precompute_matches_oracle(spark, qname, oracle_counts):
         q,
         edges,
         ADJConfig(n_servers=4, sample_k=20),
-        cost_model=CM_PRECOMP,
+        cost_model=CM,
     )
     assert rep.result_count == oracle_counts[qname]
+    (plan,) = forced_precompute
+    assert sorted(plan.precompute) == rep.detail["plan"]["precompute"]
+    assert rep.detail["bag_sizes"] == _exact_bag_sizes(
+        plan, EDGES[["src", "dst"]].to_numpy()
+    )
+
+
+@pytest.mark.parametrize("qname", ALL + ["Q7", "Q8"])
+def test_adj_with_precompute_emits_oracle_rows(
+    spark, qname, forced_precompute
+):
+    q = get_query(qname)
+    edges = spark.createDataFrame(EDGES)
+    rep = run_adj(
+        spark,
+        q,
+        edges,
+        ADJConfig(n_servers=4, sample_k=20, count_only=False),
+        cost_model=CM,
+    )
+    assert_equivalent(
+        rep.detail["result_df"].select(*q.attrs), q.to_sql(), e=EDGES
+    )
 
 
 @pytest.mark.parametrize("qname", ALL)

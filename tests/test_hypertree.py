@@ -2,7 +2,6 @@
 import pytest
 
 from repro.core.hypertree import (
-    Bag,
     Hypertree,
     candidate_hypertrees,
     find_hypertree,
@@ -136,26 +135,3 @@ class TestTraversalOrders:
             news = t.new_attrs(order)
             flat = [a for grp in news for a in grp]
             assert sorted(flat) == sorted(t.query.attrs)
-
-
-class TestBagJoinOrder:
-    def test_greedy_max_shared_attributes(self):
-        """After R(a,b), T(b,c) shares b and S(c,d) shares nothing, so T
-        joins next; a cross product is never picked while a relation
-        sharing attributes is left."""
-        r, s, t = (
-            Relation("R", ("a", "b")),
-            Relation("S", ("c", "d")),
-            Relation("T", ("b", "c")),
-        )
-        bag = Bag(0, ("a", "b", "c", "d"), (r, s, t))
-        assert bag.join_order() == (r, t, s)
-
-    def test_ties_keep_lambda_order(self):
-        r, s, t = (
-            Relation("R", ("a", "b")),
-            Relation("S", ("b", "c")),
-            Relation("T", ("a", "c")),
-        )
-        bag = Bag(0, ("a", "b", "c"), (r, s, t))
-        assert bag.join_order() == (r, s, t)

@@ -14,6 +14,8 @@ from repro.core.optimizer import PlanChoice, connected_order, optimize
 from repro.core.query import JoinQuery, Relation, get_query
 from repro.core.sampling import estimate_cardinality_local, project_db
 from repro.hcube.shares import derive_memory
+from repro.leapfrog.leapfrog import leapfrog
+from repro.leapfrog.trie import trie_for_order
 from repro.synth_data import (
     PAPER_TABLE1,
     dataset_pdf,
@@ -28,7 +30,7 @@ def db_for(qname, edges):
     return q, {r.name: (r.attrs, rows) for r in q.relations}
 
 
-def model(beta_raw=10.0, beta_pre=10_000.0, alpha=1e6, gamma=1e6, M=None):
+def model(beta_raw=10.0, beta_pre=10_000.0, alpha=1e6, gamma=0.5, M=None):
     return CostModel(
         alpha=alpha,
         beta_pre=beta_pre,
@@ -66,7 +68,7 @@ class TestOptimize:
         """If raw extension is as fast as pre-computed extension there is
         no computation to trade — the optimizer must keep C empty."""
         q, db = db_for("Q4", tiny_graph_pdf())
-        cm = model(beta_raw=1e9, beta_pre=1e9, alpha=1e3, gamma=1e3)
+        cm = model(beta_raw=1e9, beta_pre=1e9, alpha=1e3, gamma=1.0)
         plan = optimize(q, db, cm, sample_k=30)
         assert plan.precompute == frozenset()
 
@@ -75,7 +77,7 @@ class TestOptimize:
         pre-joins are free, pre-computing must be selected for Q4 (which
         has multi-relation bags)."""
         q, db = db_for("Q4", tiny_graph_pdf())
-        cm = model(beta_raw=1e-3, beta_pre=1e9, alpha=1e9, gamma=1e9)
+        cm = model(beta_raw=1e-3, beta_pre=1e9, alpha=1e9, gamma=0.0)
         plan = optimize(q, db, cm, sample_k=30)
         assert len(plan.precompute) > 0
 
@@ -119,52 +121,54 @@ class TestOptimize:
         assert sorted(plan.order) == ["a", "b", "c"]
 
 
-def duck_prefix_counts(db, rels):
-    """DuckDB's count of each join of the first j ≥ 2 of ``rels``, with
-    the natural join spelled out as equalities (DuckDB plans a chain of
-    ``NATURAL JOIN``s over a cyclic query poorly)."""
+def duck_count(db, rels, attrs):
+    """DuckDB's count of the join of ``rels`` projected onto ``attrs``
+    (each relation's overlap, distinct; relations with none left out),
+    with the natural join spelled out as equalities (DuckDB plans a chain
+    of ``NATURAL JOIN``s over a cyclic query poorly). On a prefix of a
+    Leapfrog order this is the kernel's |T^i|."""
     con = duckdb.connect()
     try:
+        froms, where, first = [], [], {}
         for r in rels:
-            attrs, rows = db[r.name]
-            con.register(r.name, pd.DataFrame(rows, columns=list(attrs)))
-        counts = []
-        first: dict[str, str] = {}
-        where: list[str] = []
-        for j, r in enumerate(rels):
-            for a in r.attrs:
+            rattrs, rows = db[r.name]
+            cols = [a for a in rattrs if a in attrs]
+            if not cols:
+                continue
+            pdf = pd.DataFrame(rows, columns=list(rattrs))[cols]
+            con.register(r.name, pdf.drop_duplicates())
+            froms.append(r.name)
+            for a in cols:
                 ref = f"{r.name}.{a}"
                 if a in first:
                     where.append(f"{ref} = {first[a]}")
                 else:
                     first[a] = ref
-            if j:
-                sql = "SELECT count(*) FROM " + ", ".join(
-                    x.name for x in rels[: j + 1]
-                )
-                if where:
-                    sql += " WHERE " + " AND ".join(where)
-                counts.append(con.execute(sql).fetchone()[0])
-        return counts
+        sql = "SELECT count(*) FROM " + ", ".join(froms)
+        if where:
+            sql += " WHERE " + " AND ".join(where)
+        return con.execute(sql).fetchone()[0]
     finally:
         con.close()
 
 
 class TestBagCounts:
-    """``cost_M``'s |R_v| and pipeline work are exact: each step of
-    ``Bag.join_order()`` counted on the Leapfrog kernel equals DuckDB's
-    count of that join."""
+    """``cost_M``'s |R_v| and W_v are exact: |R_v| is DuckDB's count of
+    the join of every relation the bag covers, and W_v the sum of that
+    join's prefix counts along the bag's order, Σ|T^i|."""
 
     @staticmethod
     def check_bags(q, db):
         est = optimizer._Estimator(db, q, 30, 0)
         bags = [b for b in find_hypertree(q).bags if b.needs_precompute]
         for bag in bags:
-            rels = bag.join_order()
-            steps = duck_prefix_counts(db, rels)
-            assert est.bag_join_size(bag) == steps[-1], bag
-            assert est.join_work(bag) == (
-                sum(len(db[r.name][1]) for r in rels) + sum(steps)
+            covered = [r for r in q.relations if r.attr_set <= bag.attr_set]
+            _, order = optimizer.bag_join(q, bag)
+            assert set(order) == bag.attr_set
+            assert est.bag(bag)[0] == duck_count(db, covered, order), bag
+            assert est.bag(bag)[1] == sum(
+                duck_count(db, covered, order[: i + 1])
+                for i in range(len(order))
             ), bag
         return bags
 
@@ -191,14 +195,47 @@ class TestBagCounts:
         assert any("R1" in {r.name for r in b.relations} for b in bags)
 
     def test_ok_q5_bag_past_the_old_row_cap(self):
-        """Bag {a,b,e} of OK×1e-3 Q5: its pipeline's first step is a
-        14,573,865-row 2-path (counts checked with DuckDB)."""
+        """Bag {a,b,e} of OK×1e-3 Q5: the triangles R1 ⋈ R5 ⋈ R6, whose
+        2-path R1 ⋈ R5 has 14,573,865 rows (counts checked with DuckDB)."""
         q, db = db_for("Q5", dataset_pdf("OK"))
         bag = find_hypertree(q).bags[0]
         assert bag.attr_set == frozenset("abe")
         est = optimizer._Estimator(db, q, 60, 0)
-        assert est.bag_join_size(bag) == 120_042
-        assert est.join_work(bag) == 15_391_839
+        assert est.bag(bag)[0] == 120_042
+        assert est.bag(bag)[1] == 371_837
+
+    def test_ok_q4_bag_covers_r6(self):
+        """Q4 assigns R6(b,e) to {b,d,e}, yet {a,b,e} covers it too: on
+        OK×1e-3 the bag is the same 120,042 triangles as Q5's, not the
+        14,573,865-row 2-path of its λ(v) = {R1, R5}."""
+        q, db = db_for("Q4", dataset_pdf("OK"))
+        bag = find_hypertree(q).bags[0]
+        assert bag.attr_set == frozenset("abe")
+        assert {r.name for r in bag.relations} == {"R1", "R5"}
+        est = optimizer._Estimator(db, q, 60, 0)
+        assert est.bag(bag)[0] == 120_042
+
+    def test_bag_order_is_connected(self):
+        """Q4's {b,d,e} covers R4(d,e) and R6(b,e): its query order b-d-e
+        binds b×d as a cross product, the connected order does not. W_v
+        stays within the inputs plus the result, which the query order's
+        extensions exceed on this graph."""
+        q, db = db_for("Q4", tiny_graph_pdf(n_edges=1000, n_nodes=300, seed=2))
+        bag = find_hypertree(q).bags[2]
+        assert bag.attrs == ("b", "d", "e")
+        est = optimizer._Estimator(db, q, 30, 0)
+        bound = len(db["R4"][1]) + len(db["R6"][1]) + est.bag(bag)[0]
+        assert est.bag(bag)[1] <= bound
+        by_query_order = leapfrog(
+            [
+                trie_for_order(db[r][1], db[r][0], bag.attrs)
+                for r in ("R4", "R6")
+            ],
+            bag.attrs,
+            emit=False,
+        )
+        assert by_query_order.count == est.bag(bag)[0]
+        assert by_query_order.extensions > bound
 
 
 class TestCapped:
@@ -260,7 +297,7 @@ class TestDeterminism:
             alpha=6e5,
             beta_pre=5e6,
             beta_raw=1e5,
-            gamma=4.8e5,
+            gamma=0.6,
             n_servers=16,
             memory_tuples=derive_memory(
                 q.attrs, [(r.attrs, len(rows)) for r in q.relations], 16
