@@ -94,27 +94,48 @@ def spark() -> SparkSession:
     s.stop()
 
 
+class ForcedPrecompute:
+    """What ``run_adj`` ran while Alg. 2 prices pre-computation at −∞:
+    each plan it chose and the schemas of each one-round join it made."""
+
+    def __init__(self):
+        self.plans = []
+        self.joins = []
+
+    def check_last_run(self):
+        """The last plan pre-computes every bag that can be pre-computed,
+        and the last join (the final round) read the plan's relations,
+        every ``bag{i}`` among them."""
+        plan = self.plans[-1]
+        assert plan.precompute == {
+            b.index for b in plan.hypertree.bags if b.needs_precompute
+        }
+        final = self.joins[-1]
+        assert final == {name: attrs for name, attrs, _ in plan.relations}
+        assert {f"bag{i}" for i in plan.precompute} <= final.keys()
+
+
 @pytest.fixture
 def forced_precompute(monkeypatch):
-    """Make ``run_adj`` pre-compute every bag that can be pre-computed,
-    whatever the cost model prices; returns the list of plans it ran."""
-    import dataclasses
-
+    """Make Alg. 2 pre-compute every bag that can be pre-computed by
+    pricing ``cost_M`` at −∞: each such bag then wins the round it is a
+    candidate in, and the plan's relations and shares are priced for the
+    bags it runs. Returns a :class:`ForcedPrecompute` record."""
     import repro.core.adj as adj
+    from repro.core.cost import CostModel
 
-    plans = []
-    optimize = adj.optimize
+    forced = ForcedPrecompute()
+    optimize, one_round_join = adj.optimize, adj.one_round_join
 
-    def forced(*args, **kwargs):
-        plan = optimize(*args, **kwargs)
-        plan = dataclasses.replace(
-            plan,
-            precompute=frozenset(
-                b.index for b in plan.hypertree.bags if b.needs_precompute
-            ),
-        )
-        plans.append(plan)
-        return plan
+    def recorded_optimize(*args, **kwargs):
+        forced.plans.append(optimize(*args, **kwargs))
+        return forced.plans[-1]
 
-    monkeypatch.setattr(adj, "optimize", forced)
-    return plans
+    def recorded_join(spark, relations, schemas, *args, **kwargs):
+        forced.joins.append({k: tuple(v) for k, v in schemas.items()})
+        return one_round_join(spark, relations, schemas, *args, **kwargs)
+
+    monkeypatch.setattr(CostModel, "cost_M", lambda *_: float("-inf"))
+    monkeypatch.setattr(adj, "optimize", recorded_optimize)
+    monkeypatch.setattr(adj, "one_round_join", recorded_join)
+    return forced

@@ -10,11 +10,14 @@ strategy and reports the phase breakdown of Tables II–IV:
 * **Communication** — the one-round HCube shuffle of Q_i's relations.
 * **Computation** — the per-server Leapfrog joins.
 
-The per-server memory bound ``M`` is derived once per test-case from the
-*original* relations (it models fixed cluster hardware): twice the
-tightest achievable per-server packing. Pre-computation grows the
-database, so under the same ``M`` the share optimizer may be pushed to a
-different ``p`` — the effect the paper observes on (OK, Q6).
+The final round runs the plan as Alg. 2 priced it: Q_i's relations, the
+attribute order and the share vector of ``PlanChoice``; nothing is
+derived again. The per-server memory bound ``M`` is derived once per
+test-case from the *original* relations (it models fixed cluster
+hardware): twice the tightest achievable per-server packing. The
+optimizer solves Q_i's shares under that ``M``, so pre-computation, which
+changes the database, may push it to a different ``p`` — the effect the
+paper observes on (OK, Q6).
 """
 from __future__ import annotations
 
@@ -181,31 +184,22 @@ def run_adj(
 
     t1 = time.monotonic()
     bag_dfs, bag_sizes = precompute_bags(spark, plan, edges, n_edges, cfg, mem)
-    # re-solve shares with exact pre-computed sizes (cheap, still within
-    # the pre-computing phase)
-    final_specs: list[RelSpec] = []
-    final_rels: dict[str, DataFrame] = {}
-    schemas: dict[str, tuple[str, ...]] = {}
-    for name, attrs in plan.final_relations():
-        final_rels[name] = df = bag_dfs.get(name, edges)
-        # a bag's columns follow its join's order; edges are read as attrs
-        schemas[name] = tuple(df.columns) if name in bag_dfs else attrs
-        final_specs.append((attrs, bag_sizes.get(name, n_edges)))
-    shares = optimize_shares(
-        query.attrs, final_specs, cfg.n_servers, memory_tuples=mem
-    )
     report.pre_computing = time.monotonic() - t1
-    report.detail["shares_final"] = shares.p
     report.detail["bag_sizes"] = bag_sizes
 
+    # the final round runs the plan: Q_i's relations (a bag's DataFrame
+    # has its join-order columns, edges are read by position), its order
+    # and its shares
+    rels = {name: bag_dfs.get(name, edges) for name, _, _ in plan.relations}
+    schemas = {name: attrs for name, attrs, _ in plan.relations}
     try:
         report.record_join(
             one_round_join(
                 spark,
-                final_rels,
+                rels,
                 schemas,
                 plan.order,
-                shares.p,
+                plan.shares.p,
                 mode=cfg.mode,
                 count_only=cfg.count_only,
                 budget_seconds=cfg.budget_seconds,

@@ -32,12 +32,16 @@ Estimation follows §III-B/§IV:
   W_v are exact: one count-only Leapfrog on the driver counts R_v and
   its extensions, the kernel and the unit ``β_raw`` is timed in.
 
-``PlanChoice.est["capped"]`` lists the prefix estimates (by sampled
-attribute order) that reached the safety cap.
+The returned ``PlanChoice`` is what the final round runs: Q_i's
+relations (pre-computed bags with their exact |R_v|, raw relations with
+their sizes), the attribute order, and the share vector of Eq. (3)
+solved on those relations. ``PlanChoice.est["capped"]`` lists the prefix
+estimates (by sampled attribute order) that reached the safety cap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.cost import CostModel
 from repro.core.hypertree import Bag, Hypertree, find_hypertree
@@ -47,37 +51,32 @@ from repro.core.sampling import (
     estimate_cardinality_local,
     project_db,
 )
-from repro.hcube.shares import RelSpec, Shares
+from repro.hcube.shares import Shares
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import trie_for_order
 
 
+#: one relation of a query candidate Q_i: (name, attrs, |R| in tuples)
+QiRelation = tuple[str, tuple[str, ...], int]
+
+
 @dataclass
 class PlanChoice:
-    """The optimizer's output: a query candidate Q_i plus attribute order."""
+    """The optimizer's output, and what the final round runs: the query
+    candidate Q_i's relations, its attribute order and share vector."""
 
     query: JoinQuery
     hypertree: Hypertree
     traversal: tuple[int, ...]  # bag indexes in traversal order
     precompute: frozenset[int]  # bag indexes whose join is materialized
+    relations: tuple[QiRelation, ...]  # Q_i, see ``_Estimator.relations``
     order: tuple[str, ...]  # Leapfrog attribute order
-    shares: Shares  # HCube share vector for the final relation set
+    shares: Shares  # HCube share vector for ``relations``
     est: dict = field(default_factory=dict)  # estimated cost breakdown
 
     @property
     def precomputed_bags(self) -> list[Bag]:
         return [self.hypertree.bags[i] for i in sorted(self.precompute)]
-
-    def final_relations(self) -> list[tuple[str, tuple[str, ...]]]:
-        """Relation list of Q_i: pre-computed bags become one relation
-        ``bag{i}``; other bags contribute their raw λ relations."""
-        out: list[tuple[str, tuple[str, ...]]] = []
-        for b in self.hypertree.bags:
-            if b.index in self.precompute:
-                out.append((f"bag{b.index}", b.attrs))
-            else:
-                out.extend((r.name, r.attrs) for r in b.relations)
-        return out
 
 
 def connected_order(
@@ -169,20 +168,25 @@ class _Estimator:
             self._bags[bag.index] = (res.count, res.extensions)
         return self._bags[bag.index]
 
-
-def _rels_for(
-    tree: Hypertree,
-    precompute: frozenset[int],
-    sizes: dict[str, int],
-    est: _Estimator,
-) -> list[RelSpec]:
-    out: list[RelSpec] = []
-    for b in tree.bags:
-        if b.index in precompute:
-            out.append((b.attrs, est.bag(b)[0]))
-        else:
-            out.extend((r.attrs, sizes[r.name]) for r in b.relations)
-    return out
+    # -- query candidates --------------------------------------------------
+    def relations(
+        self, tree: Hypertree, precompute: frozenset[int]
+    ) -> list[QiRelation]:
+        """Q_i's relations when the bags in ``precompute`` are
+        pre-computed: each such bag is one relation ``bag{i}`` over its
+        :func:`bag_join` order, with its exact |R_v|; every other bag
+        contributes its raw λ(v) relations."""
+        out: list[QiRelation] = []
+        for b in tree.bags:
+            if b.index in precompute:
+                order = bag_join(self.query, b)[1]
+                out.append((f"bag{b.index}", order, self.bag(b)[0]))
+            else:
+                out.extend(
+                    (r.name, r.attrs, len(self.db[r.name][1]))
+                    for r in b.relations
+                )
+        return out
 
 
 def optimize(
@@ -199,9 +203,11 @@ def optimize(
     estimation; execution itself stays in Spark.
     """
     tree = find_hypertree(query)
-    sizes = {name: int(rows.shape[0]) for name, (_, rows) in db.items()}
     est = _Estimator(db, query, sample_k, seed)
     cm = cost_model
+
+    def cost_C(rels: Sequence[QiRelation]) -> tuple[float, Shares]:
+        return cm.cost_C(query.attrs, [(attrs, n) for _, attrs, n in rels])
 
     V = set(range(len(tree.bags)))
     C: frozenset[int] = frozenset()
@@ -210,6 +216,7 @@ def optimize(
 
     while V:
         best: tuple[float, int, bool] | None = None  # (cost, v, precompute?)
+        cost_c, _ = cost_C(est.relations(tree, C))  # the same for every v
         for v in sorted(V):
             rest = V - {v}
             if rest and not tree.is_connected_subset(rest):
@@ -218,20 +225,16 @@ def optimize(
                 a for i in rest for a in tree.bags[i].attrs
             )
             t_prev = est.prefix_count(prefix_attrs)
-            cost_c, _ = cm.cost_C(query.attrs, _rels_for(tree, C, sizes, est))
             cost_no = cost_c + cm.cost_E(t_prev, precomputed=False)
             if best is None or cost_no < best[0]:
                 best = (cost_no, v, False)
             bag = tree.bags[v]
             if bag.needs_precompute:
-                c_new = C | {v}
-                cost_c2, _ = cm.cost_C(
-                    query.attrs, _rels_for(tree, c_new, sizes, est)
-                )
+                cost_c2, _ = cost_C(est.relations(tree, C | {v}))
                 covered, _ = bag_join(query, bag)
                 cost_m = cm.cost_M(
                     bag.attrs,
-                    [(r.attrs, sizes[r.name]) for r in covered],
+                    [(r.attrs, len(db[r.name][1])) for r in covered],
                     est.bag(bag)[1],
                 )
                 cost_pre = (
@@ -248,23 +251,15 @@ def optimize(
         round_costs.append({"bag": v_star, "precompute": pre, "cost": cost})
 
     traversal = tuple(reversed(O_rev))
-    order = tree.attribute_order(traversal)
-    final_rels = _rels_for(tree, C, sizes, est)
-    cost_c, shares = cm.cost_C(query.attrs, final_rels)
-    est_breakdown = {
-        "rounds": round_costs,
-        "cost_C": cost_c,
-        "beta_raw": cm.beta_raw,
-        "beta_pre": cm.beta_pre,
-        "final_relations": final_rels,
-        "capped": est.capped,
-    }
+    relations = tuple(est.relations(tree, C))
+    cost_c, shares = cost_C(relations)
     return PlanChoice(
         query=query,
         hypertree=tree,
         traversal=traversal,
         precompute=C,
-        order=order,
+        relations=relations,
+        order=tree.attribute_order(traversal),
         shares=shares,
-        est=est_breakdown,
+        est={"rounds": round_costs, "cost_C": cost_c, "capped": est.capped},
     )

@@ -37,7 +37,6 @@ class CardinalityEstimate:
     k: int  # samples actually used
     mean_x: float  # mean |T_{A=a}|
     extensions: int  # total Leapfrog extensions during sampling
-    count_elapsed: float = 0.0  # pure counting time (excludes trie builds)
 
 
 def required_samples(p: float, delta: float) -> int:
@@ -91,8 +90,7 @@ def estimate_cardinality_local(
         sample = vals
     else:
         sample = rng.choice(vals, size=k, replace=False)
-    t0 = time.monotonic()  # tries built above: pure counting time follows
-    deadline = t0 + budget_seconds if budget_seconds else None
+    deadline = time.monotonic() + budget_seconds if budget_seconds else None
     res = leapfrog(tries, order, emit=False, pinned=sample, deadline=deadline)
     done = res.value_done
     if not done.any():
@@ -105,7 +103,6 @@ def estimate_cardinality_local(
         k=len(counts),
         mean_x=mean_x,
         extensions=res.extensions,
-        count_elapsed=time.monotonic() - t0,
     )
 
 

@@ -199,10 +199,9 @@ def _fmt_secs(x: float, timed_out: bool, budget: float) -> str:
 
 def _plan_cell(rep: PhaseReport) -> str:
     """The plan a report ran: pre-computed bags, attribute order and the
-    final shares above 1 (Comm-First pre-computes nothing and runs the
-    shares of its plan)."""
+    shares above 1 of its final round (Comm-First pre-computes nothing)."""
     plan = rep.detail["plan"]
-    shares = rep.detail.get("shares_final", plan["shares"])
+    shares = plan["shares"]
     return (
         f"bags {{{','.join(map(str, plan.get('precompute', [])))}}}"
         f"  order {'-'.join(plan['order'])}"

@@ -36,7 +36,6 @@ class Trie:
             keep = np.ones(rows.shape[0], dtype=bool)
             keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
             rows = rows[keep]
-        self.rows = rows
         n = rows.shape[0]
         self.values: list[np.ndarray] = []
         self.child_start: list[np.ndarray] = []
@@ -89,7 +88,7 @@ class Trie:
 
     @property
     def n_rows(self) -> int:
-        return int(self.rows.shape[0])
+        return len(self.values[-1])  # one leaf per distinct row
 
     def root_range(self) -> tuple[int, int]:
         """Node-index range of the level-0 values."""

@@ -1,13 +1,13 @@
 """End-to-end Spark tests for ADJ (co-optimization strategy, §III)."""
 import itertools
 import math
-from dataclasses import replace
 
 import duckdb
 import pytest
 
 from repro.core.adj import ADJConfig, precompute_bags, run_adj
 from repro.core.cost import CostModel
+from repro.core.executor import JoinTimings
 from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import bag_join, optimize
 from repro.core.query import get_query
@@ -39,20 +39,16 @@ def cfg(**kw) -> ADJConfig:
 
 
 class TestPrecomputeBags:
-    def test_bag_join_matches_oracle(self, spark):
+    def test_bag_join_matches_oracle(self, spark, forced_precompute):
         """A pre-computed bag relation equals DuckDB's join of every
         relation the bag covers (Q4's {a,b,e} is R1 ⋈ R5 filtered by R6),
-        and its reported size is its row count."""
+        its columns follow the plan's relation, and its reported size is
+        its row count, the plan's |R_v|."""
         q = get_query("Q4")
         rows = EDGES[["src", "dst"]].to_numpy()
         db = {r.name: (r.attrs, rows) for r in q.relations}
         plan = optimize(q, db, FAST_CM, sample_k=20)
-        plan = replace(
-            plan,
-            precompute=frozenset(
-                b.index for b in plan.hypertree.bags if b.needs_precompute
-            ),
-        )
+        planned = {name: (attrs, n) for name, attrs, n in plan.relations}
         edges = spark.createDataFrame(EDGES)
         bag_dfs, sizes = precompute_bags(
             spark, plan, edges, len(rows), cfg(), mem=len(rows)
@@ -77,7 +73,8 @@ class TestPrecomputeBags:
             if wheres:
                 sql += " WHERE " + " AND ".join(wheres)
             assert_equivalent(bag_dfs[name], sql, e=EDGES)
-            assert sizes[name] == bag_dfs[name].count()
+            assert sizes[name] == bag_dfs[name].count() == planned[name][1]
+            assert tuple(bag_dfs[name].columns) == planned[name][0]
             bag_dfs[name].unpersist()
 
 
@@ -97,6 +94,7 @@ class TestRunADJ:
             edges = spark.createDataFrame(EDGES)
             rep = run_adj(spark, q, edges, cfg(), cost_model=FAST_CM)
             assert rep.detail["plan"]["precompute"], qname
+            forced_precompute.check_last_run()
             assert rep.result_count == _duck_count(q.to_sql(), EDGES)
             assert rep.pre_computing > 0
 
@@ -122,7 +120,7 @@ class TestRunADJ:
             + rep.communication
             + rep.computation
         )
-        assert "shares_final" in rep.detail
+        assert set(rep.detail["plan"]["shares"]) == set(q.attrs)
         assert rep.detail["shuffled_tuples"] > 0
         assert rep.detail["straggler_ratio"] >= 1.0
         assert rep.detail["plan"]["capped"] == []
@@ -143,6 +141,82 @@ class TestRunADJ:
         )
         assert rep.timed_out
         assert rep.result_count is None
+
+
+class _BagDF:
+    """Stands in for a pre-computed bag's DataFrame."""
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+
+    def unpersist(self):
+        pass
+
+
+class TestRunADJWiring:
+    """Spark-free: the final round runs the plan Alg. 2 returned, its
+    relations, attribute order and share vector, and derives none of them
+    again."""
+
+    @pytest.mark.parametrize("bag", [None, "abe"])
+    def test_final_round_runs_the_plan(self, monkeypatch, bag):
+        import repro.core.adj as adj
+
+        # pre-compute ``bag`` alone: its cost_M is −∞, any other bag's ∞
+        monkeypatch.setattr(
+            CostModel,
+            "cost_M",
+            lambda self, attrs, *_: -math.inf
+            if bag and set(attrs) == set(bag)
+            else math.inf,
+        )
+        plans, precomputes, joins = [], [], []
+        optimize_ = adj.optimize
+
+        def recorded_optimize(*args, **kwargs):
+            plans.append(optimize_(*args, **kwargs))
+            return plans[-1]
+
+        def precompute_bags(spark, plan, edges, n_edges, config, mem):
+            precomputes.append(plan)
+            dfs = {
+                f"bag{b.index}": _BagDF(bag_join(plan.query, b)[1])
+                for b in plan.precomputed_bags
+            }
+            # a size far from |R_v|: the final round's shares are the
+            # plan's, solved on |R_v|, and must not move with it
+            return dfs, {name: 10**9 for name in dfs}
+
+        def one_round_join(spark, relations, schemas, order, shares, **kw):
+            joins.append((relations, schemas, order, shares))
+            return 7, JoinTimings(result_count=7)
+
+        monkeypatch.setattr(adj, "optimize", recorded_optimize)
+        monkeypatch.setattr(adj, "precompute_bags", precompute_bags)
+        monkeypatch.setattr(adj, "one_round_join", one_round_join)
+        q, edges = get_query("Q4"), object()
+        rep = run_adj(
+            None,
+            q,
+            edges,
+            cfg(),
+            cost_model=FAST_CM,
+            edges_rows=EDGES[["src", "dst"]].to_numpy(),
+        )
+        (plan,) = plans
+        assert precomputes == [plan]
+        assert plan.precompute == ({0} if bag else set())
+        ((relations, schemas, order, shares),) = joins
+        assert list(schemas) == [name for name, _, _ in plan.relations]
+        assert schemas == {name: attrs for name, attrs, _ in plan.relations}
+        for name, df in relations.items():
+            if name.startswith("bag"):
+                assert tuple(df.columns) == schemas[name]
+            else:
+                assert df is edges
+        assert order == plan.order
+        assert shares == plan.shares.p == rep.detail["plan"]["shares"]
+        assert rep.result_count == 7
 
 
 class TestDeriveMemory:

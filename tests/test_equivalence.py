@@ -14,7 +14,6 @@ from repro.baselines.bigjoin import bigjoin_count
 from repro.baselines.hcubej import run_hcubej
 from repro.baselines.sparksql import sparksql_count
 from repro.core.adj import ADJConfig, run_adj
-from repro.core import optimizer
 from repro.core.cost import CostModel
 from repro.core.query import get_query
 from repro.oracle import assert_equivalent
@@ -57,19 +56,13 @@ def test_adj_matches_oracle(spark, qname, oracle_counts):
     assert rep.result_count == oracle_counts[qname]
 
 
-def _exact_bag_sizes(plan, rows):
-    db = {r.name: (r.attrs, rows) for r in plan.query.relations}
-    est = optimizer._Estimator(db, plan.query, 20, 0)
-    return {f"bag{b.index}": est.bag(b)[0] for b in plan.precomputed_bags}
-
-
 @pytest.mark.parametrize("qname", ALL + ["Q7", "Q8"])
 def test_adj_with_precompute_matches_oracle(
     spark, qname, oracle_counts, forced_precompute
 ):
     """Every bag that can be pre-computed is: the one-round bag joins and
-    the final join together count what DuckDB counts, and each bag's size
-    is the optimizer's exact |R_v|."""
+    the final join, which reads every bag, together count what DuckDB
+    counts, and each bag's size is the plan's exact |R_v|."""
     q = get_query(qname)
     edges = spark.createDataFrame(EDGES)
     rep = run_adj(
@@ -80,11 +73,12 @@ def test_adj_with_precompute_matches_oracle(
         cost_model=CM,
     )
     assert rep.result_count == oracle_counts[qname]
-    (plan,) = forced_precompute
+    forced_precompute.check_last_run()
+    (plan,) = forced_precompute.plans
     assert sorted(plan.precompute) == rep.detail["plan"]["precompute"]
-    assert rep.detail["bag_sizes"] == _exact_bag_sizes(
-        plan, EDGES[["src", "dst"]].to_numpy()
-    )
+    assert rep.detail["bag_sizes"] == {
+        name: n for name, _, n in plan.relations if name.startswith("bag")
+    }
 
 
 @pytest.mark.parametrize("qname", ALL + ["Q7", "Q8"])
@@ -100,6 +94,7 @@ def test_adj_with_precompute_emits_oracle_rows(
         ADJConfig(n_servers=4, sample_k=20, count_only=False),
         cost_model=CM,
     )
+    forced_precompute.check_last_run()
     assert_equivalent(
         rep.detail["result_df"].select(*q.attrs), q.to_sql(), e=EDGES
     )

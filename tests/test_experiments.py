@@ -83,9 +83,8 @@ class TestCooptHarness:
             "plan": {
                 "precompute": [0, 2],
                 "order": ("b", "d", "e", "c", "a"),
-                "shares": {"a": 1, "b": 2, "c": 1, "d": 2, "e": 1},
+                "shares": {"a": 1, "b": 4, "c": 1, "d": 1, "e": 1},
             },
-            "shares_final": {"a": 1, "b": 4, "c": 1, "d": 1, "e": 1},
         }
         cf.detail = {
             "plan": {
@@ -98,8 +97,8 @@ class TestCooptHarness:
         assert ">90" in text
         assert "[107]" in text  # paper reference rendered
         lines = text.splitlines()
-        # each strategy row is followed by the plan it ran, with the
-        # final (re-solved) shares where there are any
+        # each strategy row is followed by the plan it ran, with its
+        # shares above 1
         co_at = lines.index(next(x for x in lines if x.startswith("Q4  Co-Opt")))
         cf_at = lines.index(
             next(x for x in lines if x.startswith("Q4  Comm-First"))

@@ -13,7 +13,7 @@ from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import PlanChoice, connected_order, optimize
 from repro.core.query import JoinQuery, Relation, get_query
 from repro.core.sampling import estimate_cardinality_local, project_db
-from repro.hcube.shares import derive_memory
+from repro.hcube.shares import derive_memory, optimize_shares
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import trie_for_order
 from repro.synth_data import (
@@ -81,24 +81,43 @@ class TestOptimize:
         plan = optimize(q, db, cm, sample_k=30)
         assert len(plan.precompute) > 0
 
-    def test_final_relations_consistency(self):
+    def test_final_relations_consistency(self, monkeypatch):
+        # pre-compute {a,b,e} only: Q_i mixes a bag and raw relations
+        monkeypatch.setattr(
+            CostModel,
+            "cost_M",
+            lambda self, attrs, *_: (
+                -np.inf if set(attrs) == set("abe") else np.inf
+            ),
+        )
         q, db = db_for("Q5", tiny_graph_pdf())
-        plan = optimize(q, db, model(beta_raw=1e-3, beta_pre=1e9), sample_k=30)
-        rels = plan.final_relations()
-        names = [n for n, _ in rels]
+        plan = optimize(q, db, model(), sample_k=30)
+        assert plan.precompute == {0}
+        names = [n for n, _, _ in plan.relations]
         assert len(names) == len(set(names))
         # every original relation accounted for: either directly or
-        # inside a pre-computed bag
+        # inside a pre-computed bag, which is listed over its join order
+        # with its exact |R_v|
         covered = set()
-        for n, attrs in rels:
+        for n, attrs, size in plan.relations:
             if n.startswith("bag"):
-                idx = int(n[3:])
-                covered |= {
-                    r.name for r in plan.hypertree.bags[idx].relations
-                }
+                bag = plan.hypertree.bags[int(n[3:])]
+                covered |= {r.name for r in bag.relations}
+                rels, order = optimizer.bag_join(q, bag)
+                assert attrs == order
+                tries = [
+                    trie_for_order(db[r.name][1], r.attrs, order)
+                    for r in rels
+                ]
+                counted = leapfrog(tries, order, emit=False)
+                assert size == counted.count
             else:
                 covered.add(n)
+                assert (attrs, size) == (db[n][0], len(db[n][1]))
         assert covered == {r.name for r in q.relations}
+        # the plan's shares are the optimum for exactly these relations
+        specs = [(attrs, size) for _, attrs, size in plan.relations]
+        assert plan.shares == optimize_shares(q.attrs, specs, 4, None)
 
     def test_est_breakdown_present(self):
         q, db = db_for("Q4", tiny_graph_pdf())
@@ -277,10 +296,20 @@ class TestPrefixOrder:
         assert connected_order(frozenset("abde"), q) == ("a", "b", "e", "d")
 
 
+#: the plans of the LJ×1e-4 benchmark graphs under TestDeterminism's
+#: model: pre-computed bags, attribute order, shares above 1
+LJ_1E4_PLANS = {
+    "Q4": ([], tuple("bcdea"), {"b": 2, "e": 2}),
+    "Q5": ([], tuple("bdeac"), {"b": 2, "e": 2}),
+    "Q6": ([], tuple("beacd"), {"b": 2, "e": 2}),
+}
+
+
 class TestDeterminism:
     """For a given seed the plan is a function of the sampled counts: it
     does not depend on the speed of the machine, nor on the sampler's
-    safety budget, while no estimate reaches that budget."""
+    safety budget, while no estimate reaches that budget. On both graphs
+    it is the plan ``LJ_1E4_PLANS`` lists."""
 
     @pytest.mark.parametrize("graph_seed", [14, 1014])
     @pytest.mark.parametrize("qname", ["Q4", "Q5", "Q6"])
@@ -339,6 +368,12 @@ class TestDeterminism:
             budget = plan()
         assert slow == base
         assert budget == base
+        precompute, order, shares = LJ_1E4_PLANS[qname]
+        assert base[:3] == (
+            precompute,
+            order,
+            {a: shares.get(a, 1) for a in q.attrs},
+        )
         assert base[-1] == []
         # the property holds because no estimate was cut by the budget
         assert estimates
