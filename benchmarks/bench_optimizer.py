@@ -8,16 +8,23 @@ a calibration run: α 6e5, β_pre 5e6, β_raw 9e5, γ 0.6 s, and M from
 Each line gives the median of 3 rounds after one warm-up round, and the
 plan: pre-computed bags, attribute order, shares above 1, and each
 round's bag (``*`` when pre-computed) with its priced cost in seconds.
+It ends with the ``Trie`` builds and share solves (``optimize_shares``
+calls) of one more, untimed ``optimize`` call: counts that repeat
+exactly, unlike the times.
 
 Run: pytest benchmarks/bench_optimizer.py --benchmark-only
 """
+from unittest import mock
+
 import pytest
 
 from benchmarks.common import write_result
+from repro.core import cost
 from repro.core.cost import CostModel
 from repro.core.optimizer import optimize
 from repro.core.query import get_query
 from repro.hcube.shares import derive_memory
+from repro.leapfrog.trie import Trie
 from repro.synth_data import dataset_pdf
 
 ROUNDS = 3
@@ -39,6 +46,26 @@ def _plan_text(plan) -> str:
     )
 
 
+def _work_counts(run) -> str:
+    """The ``Trie`` builds and share solves of one ``run()``."""
+    counts = {"tries": 0, "solves": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(
+        Trie, "__init__", counted(Trie.__init__, "tries")
+    ), mock.patch.object(
+        cost, "optimize_shares", counted(cost.optimize_shares, "solves")
+    ):
+        run()
+    return f"tries {counts['tries']} solves {counts['solves']}"
+
+
 @pytest.mark.parametrize("qname", ["Q4", "Q5", "Q6"])
 @pytest.mark.parametrize("dataset", ["AS", "LJ", "OK"])
 def test_optimize(benchmark, dataset, qname):
@@ -55,14 +82,14 @@ def test_optimize(benchmark, dataset, qname):
             q.attrs, [(r.attrs, len(rows)) for r in q.relations], N_SERVERS
         ),
     )
-    plan = benchmark.pedantic(
-        lambda: optimize(q, db, cm, sample_k=60, seed=0),
-        rounds=ROUNDS,
-        warmup_rounds=1,
-    )
+    def run():
+        return optimize(q, db, cm, sample_k=60, seed=0)
+
+    plan = benchmark.pedantic(run, rounds=ROUNDS, warmup_rounds=1)
     line = (
         f"[optimize] {dataset}x1e-3 {qname}: "
         f"{benchmark.stats.stats.median:.2f} s  {_plan_text(plan)}"
+        f" | {_work_counts(run)}"
     )
     LINES.append(line)
     print("\n" + line)

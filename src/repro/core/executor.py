@@ -12,7 +12,9 @@ reuses the shuffle's partitioning: its plan adds a local sort, not a
 second exchange.
 
 The whole round is one Spark job with no persisted intermediate: the
-per-server stage runs straight on the shuffle. Each server adds one
+per-server stage runs straight on the shuffle and is the round's last
+stage; in count mode the driver sums the servers' ``cnt`` rows, so
+no aggregate stage follows it. Each server adds one
 ``ServerRecord`` (the instant it got its tuples, how many it got, its
 trie-build and Leapfrog seconds) to an accumulator keyed by server, and
 the two phases of Tables II–IV are split at the earliest server start:
@@ -21,10 +23,18 @@ from it to the job's end. The clocks of the driver and the workers must
 therefore agree, as they do on one machine. The round has one
 wall-clock deadline, ``budget_seconds`` after the call starts, shared by
 every server; passing it is a returned state, not a failed Spark job.
+
+The per-server worker first drops the zip importers from
+``sys.path_importer_cache`` (:func:`_drop_zip_importers`): PySpark calls
+``importlib.invalidate_caches()`` on every task, which under Python 3.11
+makes each cached ``zipimporter`` re-read its archive, and the round's
+fixed cost would otherwise carry those reads on every task.
 """
 from __future__ import annotations
 
+import sys
 import time
+import zipimport
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -32,7 +42,6 @@ import numpy as np
 import pandas as pd
 from pyspark.accumulators import Accumulator, AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
 
 from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
@@ -81,6 +90,23 @@ class JoinTimings:
         return max(join_s) / mean if mean else 0.0
 
 
+def _drop_zip_importers() -> None:
+    """Drop every ``zipimporter`` from ``sys.path_importer_cache``.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` at the start
+    of every task, and under Python 3.11 ``zipimporter.invalidate_caches``
+    re-reads its archive's directory: with ``pyspark.zip`` and the Spark
+    core jar on the path that is 16 archive reads, 175–435 ms per task on
+    a 4-core VM. The entries are caches only: an import that needs one
+    again rebuilds it from ``zipimport``'s directory cache without
+    reading the archive, so the next task on this worker invalidates
+    nothing costly.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
 def _make_worker(
     schemas: dict[str, tuple[str, ...]],
     order: tuple[str, ...],
@@ -100,6 +126,7 @@ def _make_worker(
 
     def worker(pdf: pd.DataFrame) -> pd.DataFrame:
         start = time.time()
+        _drop_zip_importers()
         t0 = time.monotonic()
         stop = None if deadline is None else t0 + (deadline - start)
         # a relation the server received nothing of stays an empty trie
@@ -176,7 +203,9 @@ def one_round_join(
     )
     result: int | DataFrame | None
     if count_only:
-        result = int(joined.agg(F.sum("cnt")).collect()[0][0] or 0)
+        # one row per server, summed here: no aggregate stage after the
+        # per-server one
+        result = sum(row.cnt for row in joined.collect())
         timings.result_count = result
     else:
         result = joined.persist(StorageLevel.MEMORY_AND_DISK)

@@ -46,14 +46,10 @@ from typing import Sequence
 from repro.core.cost import CostModel
 from repro.core.hypertree import Bag, Hypertree, find_hypertree
 from repro.core.query import JoinQuery, Relation
-from repro.core.sampling import (
-    LocalDB,
-    estimate_cardinality_local,
-    project_db,
-)
+from repro.core.sampling import LocalDB, estimate_cardinality_local
 from repro.hcube.shares import Shares
 from repro.leapfrog.leapfrog import leapfrog
-from repro.leapfrog.trie import trie_for_order
+from repro.leapfrog.trie import TrieCache
 
 
 #: one relation of a query candidate Q_i: (name, attrs, |R| in tuples)
@@ -118,7 +114,8 @@ def bag_join(
 
 class _Estimator:
     """Cached counts over a local database: sampled prefix binding counts
-    (§IV) and exact bag counts."""
+    (§IV) and exact bag counts, all read from one trie cache, so each
+    distinct trie is built once per ``optimize`` call."""
 
     #: wall-clock safety cap per sampling call; hub values can be
     #: arbitrarily heavy, so a call that reaches it scales by the samples
@@ -132,6 +129,7 @@ class _Estimator:
         self.seed = seed
         self._prefix: dict[frozenset[str], float] = {}
         self._bags: dict[int, tuple[int, int]] = {}
+        self.tries = TrieCache()
         #: prefix orders whose sample was cut short by ``BUDGET_PER_CALL``
         self.capped: list[tuple[str, ...]] = []
 
@@ -143,11 +141,12 @@ class _Estimator:
         if attrs not in self._prefix:
             order = connected_order(attrs, self.query)
             est = estimate_cardinality_local(
-                project_db(self.db, order),
+                self.db,
                 order,
                 k=self.k,
                 seed=self.seed,
                 budget_seconds=self.BUDGET_PER_CALL,
+                tries=self.tries,
             )
             if est.k < min(self.k, est.val_count):
                 self.capped.append(order)
@@ -161,7 +160,7 @@ class _Estimator:
         if bag.index not in self._bags:
             rels, order = bag_join(self.query, bag)
             tries = [
-                trie_for_order(rows, attrs, order)
+                self.tries(rows, attrs, order)
                 for attrs, rows in (self.db[r.name] for r in rels)
             ]
             res = leapfrog(tries, order, emit=False)

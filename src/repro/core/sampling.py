@@ -9,7 +9,10 @@ value. Chernoff–Hoeffding (Lemma 2) gives ``k(p, δ)``.
 The estimator runs on driver-local numpy relations
 (:func:`estimate_cardinality_local`): the Alg. 2 optimizer issues many
 prefix sub-query estimates per test-case, and ``run_adj`` already holds
-the graph on the driver.
+the graph on the driver. Each estimate reads the relations projected
+onto its attributes (the prefix sub-query of §III-B) from a
+:class:`~repro.leapfrog.trie.TrieCache`, which the optimizer keeps for
+one ``optimize`` call, so each distinct trie is built once.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.leapfrog.leapfrog import leapfrog
-from repro.leapfrog.trie import trie_for_order
+from repro.leapfrog.trie import TrieCache
 
 # name -> (attrs, rows ndarray of shape (n, len(attrs)))
 LocalDB = dict[str, tuple[tuple[str, ...], np.ndarray]]
@@ -63,11 +66,16 @@ def estimate_cardinality_local(
     k: int = 200,
     seed: int = 0,
     budget_seconds: float | None = None,
+    tries: TrieCache | None = None,
 ) -> CardinalityEstimate:
     """Sampling estimator on local numpy relations; samples on order[0].
 
-    The tries are built once, in ``order``; ``val(A)`` is the intersection
-    of the level-0 values of those that start with A. The sampled values'
+    Every relation is projected onto the attributes of ``order`` it has,
+    and one with none is dropped: over a prefix of a query's attributes
+    this is the prefix sub-query of §III-B. The projections' tries, in
+    ``order``, come from ``tries`` (a fresh cache if none is given); they
+    dedupe the rows a projection repeats. ``val(A)`` is the intersection
+    of the level-0 values of the tries that start with A. The sampled values'
     counts ``|T_{A=a}|`` come from one kernel run with them pinned at
     level 0. A ``budget_seconds`` cap stops early (hub values can be
     arbitrarily heavy) and the estimate scales by the values whose counts
@@ -76,8 +84,13 @@ def estimate_cardinality_local(
     yields a usable (if coarse) sample.
     """
     order = tuple(order)
-    tries = [trie_for_order(rows, attrs, order) for attrs, rows in db.values()]
-    projs = [t.values[0] for t in tries if t.attrs[0] == order[0]]
+    cache = TrieCache() if tries is None else tries
+    rel_tries = [
+        cache(rows, attrs, order)
+        for attrs, rows in db.values()
+        if not set(attrs).isdisjoint(order)
+    ]
+    projs = [t.values[0] for t in rel_tries if t.attrs[0] == order[0]]
     if not projs:
         raise ValueError(f"attribute {order[0]} in no relation")
     vals = reduce(
@@ -91,7 +104,9 @@ def estimate_cardinality_local(
     else:
         sample = rng.choice(vals, size=k, replace=False)
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
-    res = leapfrog(tries, order, emit=False, pinned=sample, deadline=deadline)
+    res = leapfrog(
+        rel_tries, order, emit=False, pinned=sample, deadline=deadline
+    )
     done = res.value_done
     if not done.any():
         done = res.value_counts > 0
@@ -105,21 +120,3 @@ def estimate_cardinality_local(
         extensions=res.extensions,
     )
 
-
-# ---------------------------------------------------------------------------
-# Sub-query projection (prefix estimates for the optimizer)
-# ---------------------------------------------------------------------------
-
-def project_db(db: LocalDB, attrs: Sequence[str]) -> LocalDB:
-    """Project every relation onto ``attrs``, dropping relations with no
-    overlap — the prefix sub-query of §III-B used to estimate
-    ``|T^{v_i}|``. Rows are not deduped here: the sampler's tries sort
-    and dedupe every relation they are built from."""
-    keep = tuple(attrs)
-    out: LocalDB = {}
-    for name, (rattrs, rows) in db.items():
-        inter = [a for a in rattrs if a in keep]
-        if not inter:
-            continue
-        out[name] = (tuple(inter), rows[:, [rattrs.index(a) for a in inter]])
-    return out

@@ -7,9 +7,7 @@ with the paper's Push and Pull implementation variants.
 """
 from repro.hcube.shares import (  # noqa: F401
     Shares,
-    comm_tuples,
-    dup,
-    frac,
+    derive_memory,
     optimize_shares,
 )
 from repro.hcube.shuffle import hcube_shuffle  # noqa: F401

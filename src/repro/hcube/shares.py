@@ -7,38 +7,21 @@ number of shuffled tuples ``Σ_R |R| · dup(R, p)`` where
 load ``Σ_R |R| · frac(R, p) ≤ M`` with ``frac(R, p) = 1/∏_{A ∈ attrs(R)} p_A``.
 
 Queries here have ≤ 5 attributes and ``P ≤ 64``, so exhaustive
-enumeration of share vectors is exact and fast (a few thousand vectors).
+enumeration of share vectors is exact and fast (a few thousand vectors):
+the vectors of each ``(#attributes, P)`` are enumerated once, and every
+vector's communication and load are computed in one numpy pass.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 
 RelSpec = tuple[tuple[str, ...], int]  # (attrs, |R| in tuples)
-
-
-def dup(rel_attrs: Iterable[str], p: Mapping[str, int]) -> int:
-    """Number of servers each tuple of a relation is replicated to."""
-    rel = set(rel_attrs)
-    return math.prod(v for a, v in p.items() if a not in rel)
-
-
-def frac(rel_attrs: Iterable[str], p: Mapping[str, int]) -> float:
-    """Expected fraction of a relation landing on one server."""
-    rel = set(rel_attrs)
-    return 1.0 / math.prod(v for a, v in p.items() if a in rel)
-
-
-def comm_tuples(relations: Sequence[RelSpec], p: Mapping[str, int]) -> int:
-    """Total tuples shuffled: Σ |R| · dup(R, p)."""
-    return sum(size * dup(attrs, p) for attrs, size in relations)
-
-
-def server_load(relations: Sequence[RelSpec], p: Mapping[str, int]) -> float:
-    """Expected tuples received per server: Σ |R| · frac(R, p)."""
-    return sum(size * frac(attrs, p) for attrs, size in relations)
 
 
 @dataclass(frozen=True)
@@ -55,22 +38,43 @@ class Shares:
         object.__setattr__(self, "p", dict(self.p))
 
 
-def _vectors(attrs: Sequence[str], max_product: int) -> Iterable[dict[str, int]]:
-    """All share vectors with each p_A ≥ 1 and ∏ p_A ≤ max_product."""
+@lru_cache(maxsize=None)
+def share_vectors(n_attrs: int, max_product: int) -> np.ndarray:
+    """All share vectors with each p_A ≥ 1 and ∏ p_A ≤ max_product, one
+    per row of a read-only int64 matrix, in lexicographic order (the
+    order ties are broken in)."""
+    rows: list[tuple[int, ...]] = [()]
+    for _ in range(n_attrs):
+        rows = [
+            r + (v,)
+            for r in rows
+            for v in range(1, max_product // math.prod(r) + 1)
+        ]
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), n_attrs)
+    out.setflags(write=False)
+    return out
 
-    def rec(i: int, remaining: int, cur: dict[str, int]):
-        if i == len(attrs):
-            yield dict(cur)
-            return
-        a = attrs[i]
-        v = 1
-        while v <= remaining:
-            cur[a] = v
-            yield from rec(i + 1, remaining // v, cur)
-            v += 1
-        cur.pop(a, None)
 
-    yield from rec(0, max_product, {})
+def _comm_load(
+    attrs: Sequence[str], relations: Sequence[RelSpec], vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Σ |R| · dup(R, p) and Σ |R| · frac(R, p) for every row ``p`` of
+    ``vectors``, the relations added in their given order."""
+    pos = {a: i for i, a in enumerate(attrs)}
+    for rel_attrs, _ in relations:
+        unknown = set(rel_attrs) - set(attrs)
+        if unknown:
+            raise ValueError(f"relation attrs {unknown} not in query attrs {attrs}")
+    # a Python int size keeps the comm column int64, a float makes it
+    # float64, as the scalar sum's type would be
+    comm = np.zeros(len(vectors), dtype=np.int64)
+    load = np.zeros(len(vectors))
+    for rel_attrs, size in relations:
+        inside = np.zeros(len(attrs), dtype=bool)
+        inside[[pos[a] for a in rel_attrs]] = True
+        comm = comm + size * vectors[:, ~inside].prod(axis=1)
+        load = load + size * (1.0 / vectors[:, inside].prod(axis=1))
+    return comm, load
 
 
 def derive_memory(
@@ -78,9 +82,8 @@ def derive_memory(
 ) -> float:
     """Per-server capacity M: twice the minimum achievable expected load
     over all share vectors with ``∏ p ≤ n_servers``."""
-    return 2.0 * min(
-        server_load(relations, p) for p in _vectors(list(attrs), n_servers)
-    )
+    vectors = share_vectors(len(attrs), n_servers)
+    return 2.0 * float(_comm_load(attrs, relations, vectors)[1].min())
 
 
 def optimize_shares(
@@ -94,35 +97,28 @@ def optimize_shares(
     ``memory_tuples`` is the per-server capacity ``M``; ``None`` disables
     the constraint (then only ``∏ p ≤ n_servers`` binds, and the optimum
     degenerates to spreading nothing — so a memory bound is what forces
-    genuine partitioning, as in the paper's cluster). If no vector is
-    feasible, the vector with the smallest load is returned with
+    genuine partitioning, as in the paper's cluster). Ties in
+    communication go to the lower load, then to more servers, then to
+    the first vector of :func:`share_vectors`. If no vector is feasible,
+    the first vector with the smallest load is returned with
     ``feasible=False`` (best-effort, mirrors the paper's OOM failures).
     """
-    for rel_attrs, _ in relations:
-        unknown = set(rel_attrs) - set(attrs)
-        if unknown:
-            raise ValueError(f"relation attrs {unknown} not in query attrs {attrs}")
-    best: Shares | None = None
-    best_infeasible: Shares | None = None
-    for p in _vectors(list(attrs), n_servers):
-        c = comm_tuples(relations, p)
-        load = server_load(relations, p)
-        ns = math.prod(p.values())
-        cand = Shares(p, ns, c, load, True)
-        if memory_tuples is None or load <= memory_tuples:
-            # minimize comm; tie-break to lower load, then more parallelism
-            key = (c, load, -ns)
-            if best is None or key < (best.comm, best.load, -best.n_servers):
-                best = cand
-        if best_infeasible is None or load < best_infeasible.load:
-            best_infeasible = cand
-    if best is not None:
-        return best
-    assert best_infeasible is not None
+    vectors = share_vectors(len(attrs), n_servers)
+    comm, load = _comm_load(attrs, relations, vectors)
+    ns = vectors.prod(axis=1)
+    if memory_tuples is None:
+        ok = np.arange(len(vectors))
+    else:
+        ok = np.flatnonzero(load <= memory_tuples)
+    feasible = len(ok) > 0
+    if feasible:
+        best = ok[np.lexsort((ok, -ns[ok], load[ok], comm[ok]))[0]]
+    else:
+        best = int(np.argmin(load))
     return Shares(
-        best_infeasible.p,
-        best_infeasible.n_servers,
-        best_infeasible.comm,
-        best_infeasible.load,
-        False,
+        dict(zip(attrs, vectors[best].tolist())),
+        int(ns[best]),
+        comm[best].item(),
+        float(load[best]),
+        feasible,
     )

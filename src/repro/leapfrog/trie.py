@@ -11,6 +11,7 @@ one ``searchsorted``.
 """
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +91,14 @@ class Trie:
     def n_rows(self) -> int:
         return len(self.values[-1])  # one leaf per distinct row
 
+    def renamed(self, attrs: Sequence[str]) -> "Trie":
+        """This trie over other attribute names, sharing every array."""
+        if len(attrs) != self.arity:
+            raise ValueError(f"{tuple(attrs)} do not name {self.attrs}")
+        out = copy.copy(self)
+        out.attrs = tuple(attrs)
+        return out
+
     def root_range(self) -> tuple[int, int]:
         """Node-index range of the level-0 values."""
         return 0, len(self.values[0])
@@ -130,3 +139,46 @@ def trie_for_order(
     perm = sorted(range(len(rel_attrs)), key=lambda i: pos[rel_attrs[i]])
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(rel_attrs))
     return Trie(rows[:, perm], [rel_attrs[i] for i in perm])
+
+
+class TrieCache:
+    """Tries built once per (source array, columns, column order).
+
+    ``cache(rows, rel_attrs, order)`` is the trie of relation ``rows``
+    (columns ``rel_attrs``) projected onto the attributes it shares with
+    ``order``, its columns in ``order`` — :func:`trie_for_order` on the
+    projection. Relations read from one array, as every relation of a
+    graph test-case is, share the trie of each column selection; one
+    under other attribute names gets it :meth:`Trie.renamed`. The cache
+    keeps each source array alive, so an array's ``id`` stays its own.
+    """
+
+    def __init__(self) -> None:
+        # (id of the source array, its columns in trie order) -> (the
+        # array, its trie)
+        self._tries: dict[
+            tuple[int, tuple[int, ...]], tuple[np.ndarray, Trie]
+        ] = {}
+
+    def __call__(
+        self, rows: np.ndarray, rel_attrs: Sequence[str], order: Sequence[str]
+    ) -> Trie:
+        pos = {a: i for i, a in enumerate(order)}
+        cols = tuple(
+            sorted(
+                (i for i, a in enumerate(rel_attrs) if a in pos),
+                key=lambda i: pos[rel_attrs[i]],
+            )
+        )
+        if not cols:
+            raise ValueError(
+                f"{tuple(rel_attrs)} share nothing with {tuple(order)}"
+            )
+        attrs = tuple(rel_attrs[i] for i in cols)
+        key = (id(rows), cols)
+        if key not in self._tries:
+            data = np.asarray(rows, dtype=np.int64)
+            data = data.reshape(-1, len(rel_attrs))[:, list(cols)]
+            self._tries[key] = (rows, Trie(data, attrs))
+        trie = self._tries[key][1]
+        return trie if trie.attrs == attrs else trie.renamed(attrs)

@@ -11,9 +11,10 @@ from repro.core.executor import JoinTimings
 from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import bag_join, optimize
 from repro.core.query import get_query
-from repro.hcube.shares import derive_memory, server_load
+from repro.hcube.shares import derive_memory
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
+from tests.test_shares import server_load
 
 
 def _duck_count(sql, edges_pdf):

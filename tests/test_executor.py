@@ -1,6 +1,9 @@
 """Tests for the one-round executor (HCube + per-server Leapfrog); the
 per-server worker is also tested on its own, without Spark."""
+import sys
 import time
+import zipfile
+import zipimport
 
 import duckdb
 import numpy as np
@@ -8,12 +11,16 @@ import pandas as pd
 import pytest
 
 from repro.core.adj import relation_dfs
-from repro.core.executor import _make_worker, one_round_join
+from repro.core.executor import (
+    _drop_zip_importers,
+    _make_worker,
+    one_round_join,
+)
 from repro.core.query import get_query
-from repro.hcube.shares import dup
 from repro.hcube.shuffle import MODES, order_aligned_attrs
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
+from tests.test_shares import dup
 
 
 def _setup(spark, qname, edges_pdf):
@@ -202,6 +209,69 @@ class TestOneRoundJoin:
         schemas = {r.name: r.attrs for r in q.relations}
         cnt, _ = one_round_join(spark, rels, schemas, ("a", "b", "c"), SHARES_ABC)
         assert cnt == 0
+
+
+@pytest.mark.parametrize("mode,exchanges", [("pull", 2), ("push", 1)])
+def test_count_mode_ends_at_per_server_stage(spark, mode, exchanges):
+    """A count-mode round runs one stage per exchange of its plan and
+    then the per-server stage, one task per Spark partition of servers,
+    and no aggregate stage after it: the driver sums the servers'
+    counts."""
+    edges = tiny_graph_pdf()
+    q, rels, schemas = _setup(spark, "Q1", edges)
+    sc = spark.sparkContext
+    group = f"count-mode-{mode}"
+    sc.setJobGroup(group, "one count-mode round")
+    try:
+        cnt, _ = one_round_join(
+            spark, rels, schemas, ("a", "b", "c"), SHARES_ABC, mode=mode
+        )
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description"):
+            sc.setLocalProperty(key, None)
+    assert cnt == _duck_count(q.to_sql(), edges)
+    tracker = sc.statusTracker()
+    stage_ids = sorted(
+        s
+        for j in tracker.getJobIdsForGroup(group)
+        for s in tracker.getJobInfo(j).stageIds
+    )
+    ran = [
+        info
+        for info in map(tracker.getStageInfo, dict.fromkeys(stage_ids))
+        if info is not None and info.numCompletedTasks > 0
+    ]
+    assert len(ran) == exchanges + 1
+    assert ran[-1].numTasks == min(4, sc.defaultParallelism)
+
+
+def test_drop_zip_importers_keeps_zip_imports_working(tmp_path, monkeypatch):
+    """After the worker's prune no ``zipimporter`` is cached, and a module
+    of an archive that was already read still imports."""
+    archive = tmp_path / "mods.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("prune_probe_one.py", "VALUE = 1\n")
+        z.writestr("prune_probe_two.py", "VALUE = 2\n")
+    monkeypatch.syspath_prepend(str(archive))
+    try:
+        import prune_probe_one
+
+        assert prune_probe_one.VALUE == 1
+        assert isinstance(
+            sys.path_importer_cache[str(archive)], zipimport.zipimporter
+        )
+        _drop_zip_importers()
+        assert not any(
+            isinstance(f, zipimport.zipimporter)
+            for f in sys.path_importer_cache.values()
+        )
+        import prune_probe_two
+
+        assert prune_probe_two.VALUE == 2
+    finally:
+        for name in ("prune_probe_one", "prune_probe_two"):
+            sys.modules.pop(name, None)
+        sys.path_importer_cache.pop(str(archive), None)
 
 
 class _Sink:

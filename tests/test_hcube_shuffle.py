@@ -7,7 +7,6 @@ from pyspark.sql import functions as F
 
 from repro.core.adj import relation_dfs
 from repro.core.query import get_query
-from repro.hcube.shares import dup
 from repro.hcube.shuffle import (
     MODES,
     hcube_shuffle,
@@ -16,6 +15,7 @@ from repro.hcube.shuffle import (
     strides,
 )
 from repro.synth_data import tiny_graph_pdf
+from tests.test_shares import dup
 
 
 ORDER = ("a", "b", "c")

@@ -12,7 +12,7 @@ from repro.core.cost import CostModel
 from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import PlanChoice, connected_order, optimize
 from repro.core.query import JoinQuery, Relation, get_query
-from repro.core.sampling import estimate_cardinality_local, project_db
+from repro.core.sampling import estimate_cardinality_local
 from repro.hcube.shares import derive_memory, optimize_shares
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import trie_for_order
@@ -280,9 +280,8 @@ class TestPrefixOrder:
                 order = connected_order(frozenset(attrs), q)
                 assert order[0] == query_order[0]
                 assert sorted(order) == sorted(query_order)
-                sub = project_db(db, attrs)
                 base, got = (
-                    estimate_cardinality_local(sub, o, k=30, seed=3)
+                    estimate_cardinality_local(db, o, k=30, seed=3)
                     for o in (query_order, order)
                 )
                 for f in ("estimate", "val_count", "k", "mean_x"):

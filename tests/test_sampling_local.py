@@ -13,11 +13,10 @@ from repro.core.query import get_query
 from repro.core.sampling import (
     estimate_cardinality_local,
     hoeffding_bound,
-    project_db,
     required_samples,
 )
 from repro.leapfrog import leapfrog
-from repro.leapfrog.trie import trie_for_order
+from repro.leapfrog.trie import TrieCache, trie_for_order
 from repro.synth_data import tiny_graph_pdf
 
 # the module, not the function the package re-exports under its name
@@ -40,6 +39,20 @@ def _value_counts(db, order):
     tries = [trie_for_order(rows, attrs, order) for attrs, rows in db.values()]
     res = leapfrog(tries, order, emit=False, pinned=vals)
     return vals, res
+
+
+def project_db(db, attrs):
+    """Every relation projected onto ``attrs``, those with no overlap
+    dropped — the prefix sub-query the estimator reads, built
+    explicitly."""
+    out = {}
+    for name, (rattrs, rows) in db.items():
+        inter = [a for a in rattrs if a in attrs]
+        if inter:
+            out[name] = (
+                tuple(inter), rows[:, [rattrs.index(a) for a in inter]]
+            )
+    return out
 
 
 def _duck_count(sql, edges):
@@ -218,20 +231,21 @@ class TestEstimateLocal:
 
 
 class TestProjectDB:
+    """The estimator reads each relation projected onto the order's
+    attributes: the same estimate as over the explicit projection,
+    deduped or not."""
+
     def test_projection_drops_and_dedupes(self):
-        """Relations with no overlap are dropped; the duplicate rows a
+        """A relation with no overlap is dropped; the duplicate rows a
         projection leaves are deduped by the sampler's tries, so the
-        estimate over the raw projection equals the one over the
-        deduped projection."""
+        estimate over the full relations equals the one over the raw and
+        the deduped projection."""
         db = {
             "R1": (("a", "b"), np.array([[1, 2], [1, 3]], dtype=np.int64)),
             "R2": (("c", "d"), np.array([[5, 6]], dtype=np.int64)),
         }
-        out = project_db(db, ("a",))
-        assert set(out) == {"R1"}
-        attrs, rows = out["R1"]
-        assert attrs == ("a",)
-        assert rows.tolist() == [[1], [1]]
+        est = estimate_cardinality_local(db, ("a",), k=10)
+        assert (est.estimate, est.val_count, est.k) == (1.0, 1, 1)
         q, gdb = _db_for("Q4", tiny_graph_pdf())
         for attrs in (("a", "b", "c"), ("b", "d", "e"), ("a", "b", "e", "d")):
             raw = project_db(gdb, attrs)
@@ -239,27 +253,32 @@ class TestProjectDB:
                 n: (a, np.unique(r, axis=0)) for n, (a, r) in raw.items()
             }
             assert any(len(r) < len(raw[n][1]) for n, (_, r) in deduped.items())
-            got, want = (
+            got, *want = (
                 estimate_cardinality_local(d, attrs, k=30, seed=2)
-                for d in (raw, deduped)
+                for d in (gdb, raw, deduped)
             )
-            assert got.estimate == want.estimate
-            assert (got.val_count, got.k) == (want.val_count, want.k)
+            for w in want:
+                assert got.estimate == w.estimate
+                assert (got.val_count, got.k) == (w.val_count, w.k)
+                assert got.extensions == w.extensions
 
     def test_projection_keeps_overlap_order(self):
-        db = {"R1": (("b", "a"), np.array([[2, 1]], dtype=np.int64))}
-        out = project_db(db, ("a", "b"))
-        attrs, rows = out["R1"]
-        assert attrs == ("b", "a")
-        assert rows.tolist() == [[2, 1]]
+        """A relation's projection is laid out in the order's column order,
+        whatever the relation's own column order."""
+        rows = np.array([[2, 1, 7]], dtype=np.int64)
+        trie = TrieCache()(rows, ("b", "a", "z"), ("a", "b"))
+        assert trie.attrs == ("a", "b")
+        assert [v.tolist() for v in trie.values] == [[1], [2]]
 
     def test_prefix_estimate_upper_bounds_truth(self):
         """The projected sub-query overestimates (never underestimates)
         the true prefix binding count when sampled exhaustively."""
         edges = tiny_graph_pdf()
         q, db = _db_for("Q1", edges)
-        sub = project_db(db, ("a", "b"))
-        est = estimate_cardinality_local(sub, ("a", "b"), k=10**9)
+        est = estimate_cardinality_local(db, ("a", "b"), k=10**9)
+        assert est.estimate == estimate_cardinality_local(
+            project_db(db, ("a", "b")), ("a", "b"), k=10**9
+        ).estimate
         # true prefix count for (a,b) in the triangle query: pairs that
         # survive all projections — here exactly |Π_ab semi-filtered|
         truth = _duck_count(
@@ -268,3 +287,47 @@ class TestProjectDB:
             edges,
         )
         assert est.estimate >= truth
+
+
+class TestTrieCache:
+    def test_one_build_per_array_and_columns(self, monkeypatch):
+        """Relations read from one array share a trie per column
+        selection, renamed to each relation's attributes."""
+        import repro.leapfrog.trie as trie_module
+
+        built = []
+        init = trie_module.Trie.__init__
+
+        def counted(self, rows, attrs):
+            built.append(tuple(attrs))
+            init(self, rows, attrs)
+
+        monkeypatch.setattr(trie_module.Trie, "__init__", counted)
+        q, db = _db_for("Q4", tiny_graph_pdf())
+        cache = TrieCache()
+        order = ("a", "b", "c", "d", "e")
+        tries = [cache(rows, attrs, order) for attrs, rows in db.values()]
+        # five relations read (src, dst) in the order; R5(e, a) reads
+        # (dst, src)
+        assert len(built) == 2
+        cache(db["R1"][1], ("a", "b"), ("a",))
+        cache(db["R2"][1], ("b", "c"), ("c",))
+        assert len(built) == 4  # the two one-column projections
+        assert cache(db["R3"][1], ("c", "d"), ("c",)).attrs == ("c",)
+        assert len(built) == 4
+        for t, (attrs, rows) in zip(tries, db.values()):
+            fresh = trie_for_order(rows, attrs, order)
+            assert t.attrs == fresh.attrs
+            for a, b in zip(t.values, fresh.values):
+                assert a.tolist() == b.tolist()
+
+    def test_estimates_read_one_cache(self):
+        """Estimates through a shared cache equal fresh ones."""
+        q, db = _db_for("Q4", tiny_graph_pdf())
+        cache = TrieCache()
+        for attrs in (("a", "b", "c"), ("b", "d", "e"), ("a", "b", "e", "d")):
+            got = estimate_cardinality_local(
+                db, attrs, k=20, seed=4, tries=cache
+            )
+            want = estimate_cardinality_local(db, attrs, k=20, seed=4)
+            assert got == want
