@@ -7,6 +7,12 @@ LJ stand-in at scale 1e-4 (seed 14, 6,546 edges), query Q4.
   ``estimate_cardinality_local`` with its 60 sampled values (the
   optimizer's ``sample_k``) pinned at level 0, timed on its own (the trie
   builds and the sampling of ``val(b)`` are excluded).
+* One server of the final round under shares b:2 e:2 and order
+  b-c-d-e-a (the plan ``run_adj`` picks on this graph), the one that
+  receives the most tuples: ``server_join`` on its raw relations, and
+  with bag {a,b,e} joined on the server first. HCube's routing
+  (``x mod p_A``) is replayed by ``tests.test_executor.hcube_fragments``,
+  and the trie builds are timed too.
 
 Each figure is the median of 3 rounds after one warm-up round.
 
@@ -18,14 +24,20 @@ import numpy as np
 import pytest
 
 from benchmarks.common import write_result
+from repro.core.executor import server_join
+from repro.core.hypertree import find_hypertree
+from repro.core.optimizer import bag_join
 from repro.core.query import get_query
 from repro.core.sampling import estimate_cardinality_local
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import trie_for_order
 from repro.synth_data import PAPER_TABLE1, graph_edges_pdf
+from tests.test_executor import hcube_fragments
 
 ROUNDS = 3
 LINES: list[str] = []
+#: seconds of one server's join per variant, for the ratio line
+SERVER_S: dict[str, float] = {}
 
 
 @pytest.fixture(scope="module")
@@ -85,4 +97,39 @@ def test_sampler_values_per_s(benchmark, lj_q4):
         f"[sampler] LJx1e-4 Q4 order {'-'.join(order)}, k={est.k}: "
         f"{est.k / secs:,.0f} values/s "
         f"(estimate {est.estimate:,.0f}, |val(b)| {est.val_count})"
+    )
+
+
+@pytest.mark.parametrize("variant", ["raw", "server"])
+def test_server_join_bag_on_server(benchmark, lj_q4, variant):
+    q, rows = lj_q4
+    order = tuple("bcdea")
+    shares = {a: 1 for a in order} | {"b": 2, "e": 2}
+    schemas = {r.name: r.attrs for r in q.relations}
+    frag = max(
+        hcube_fragments(rows, schemas, order, shares),
+        key=lambda f: sum(map(len, f.values())),
+    )
+    bag = find_hypertree(q).bags[0]
+    rels, bag_order = bag_join(q, bag)
+    bags = ((tuple(r.name for r in rels), bag_order),) * (variant == "server")
+    res, _, bag_s, _ = benchmark.pedantic(
+        lambda: server_join(frag, schemas, order, bags),
+        rounds=ROUNDS,
+        warmup_rounds=1,
+    )
+    secs = SERVER_S[variant] = benchmark.stats.stats.median
+    what = (
+        f"bag {{{','.join(bag.attrs)}}} joined on the server "
+        f"(bag {bag_s:.3f} s)"
+        if bags else "raw relations"
+    )
+    ratio = (
+        f", {SERVER_S['raw'] / secs:.1f}x faster than raw"
+        if bags and "raw" in SERVER_S else ""
+    )
+    _record(
+        f"[server] LJx1e-4 Q4 busiest server of b:2 e:2, order "
+        f"{'-'.join(order)}, {sum(map(len, frag.values())):,} tuples, "
+        f"{what}: {secs:.3f} s, count {res.count:,}{ratio}"
     )

@@ -6,11 +6,12 @@ a calibration run: α 6e5, β_pre 5e6, β_raw 9e5, γ 0.6 s, and M from
 ``derive_memory`` over the raw relations, as ``run_adj`` derives it.
 
 Each line gives the median of 3 rounds after one warm-up round, and the
-plan: pre-computed bags, attribute order, shares above 1, and each
-round's bag (``*`` when pre-computed) with its priced cost in seconds.
-It ends with the ``Trie`` builds and share solves (``optimize_shares``
-calls) of one more, untimed ``optimize`` call: counts that repeat
-exactly, unlike the times.
+plan: the bags pre-computed by a round of their own (``bags``), the bags
+joined on each server (``server bags``), attribute order, shares above
+1, and each round's bag with its variant (``raw``, ``distributed`` or
+``server``) and priced cost in seconds. It ends with the ``Trie``
+builds and share solves (``optimize_shares`` calls) of one more, untimed
+``optimize`` call: counts that repeat exactly, unlike the times.
 
 Run: pytest benchmarks/bench_optimizer.py --benchmark-only
 """
@@ -35,12 +36,16 @@ LINES: list[str] = []
 def _plan_text(plan) -> str:
     shares = " ".join(f"{a}:{p}" for a, p in plan.shares.p.items() if p > 1)
     rounds = " ".join(
-        f"{r['bag']}{'*' if r['precompute'] else ''}:{r['cost']:.3f}"
+        f"{r['bag']}:{r['variant']}:{r['cost']:.3f}"
         for r in plan.est["rounds"]
     )
     capped = plan.est["capped"]
+
+    def bags(idxs):
+        return "{" + ",".join(map(str, sorted(idxs))) + "}"
+
     return (
-        f"{{{','.join(map(str, sorted(plan.precompute)))}}} "
+        f"bags {bags(plan.precompute)} server bags {bags(plan.on_server)} "
         f"{'-'.join(plan.order)} {shares or '-'} | rounds {rounds}"
         + (f" | capped {capped}" if capped else "")
     )

@@ -94,14 +94,38 @@ def spark() -> SparkSession:
     s.stop()
 
 
-class ForcedPrecompute:
-    """What ``run_adj`` ran while Alg. 2 prices pre-computation at −∞:
-    each plan it chose and the schemas of each one-round join it made."""
+class ForcedRun:
+    """What ``run_adj`` ran while Alg. 2 prices one bag variant's cost
+    term at −∞: each plan it chose, and each one-round join it made with
+    its schemas, local plan and timings."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch, cost_term: str):
+        import repro.core.adj as adj
+        from repro.core.cost import CostModel
+
         self.plans = []
         self.joins = []
+        optimize, one_round_join = adj.optimize, adj.one_round_join
 
+        def recorded_optimize(*args, **kwargs):
+            self.plans.append(optimize(*args, **kwargs))
+            return self.plans[-1]
+
+        def recorded_join(spark, relations, schemas, *args, **kwargs):
+            out = one_round_join(spark, relations, schemas, *args, **kwargs)
+            self.joins.append((
+                {k: tuple(v) for k, v in schemas.items()},
+                tuple(kwargs.get("server_bags", ())),
+                out[1],
+            ))
+            return out
+
+        monkeypatch.setattr(CostModel, cost_term, lambda *_: float("-inf"))
+        monkeypatch.setattr(adj, "optimize", recorded_optimize)
+        monkeypatch.setattr(adj, "one_round_join", recorded_join)
+
+
+class ForcedPrecompute(ForcedRun):
     def check_last_run(self):
         """The last plan pre-computes every bag that can be pre-computed,
         and the last join (the final round) read the plan's relations,
@@ -110,9 +134,30 @@ class ForcedPrecompute:
         assert plan.precompute == {
             b.index for b in plan.hypertree.bags if b.needs_precompute
         }
-        final = self.joins[-1]
+        final = self.joins[-1][0]
         assert final == {name: attrs for name, attrs, _ in plan.relations}
         assert {f"bag{i}" for i in plan.precompute} <= final.keys()
+
+
+class ForcedOnServer(ForcedRun):
+    def check_last_run(self):
+        """The last plan joins every bag that can be pre-computed on the
+        servers and distributes none; its final round read the plan's
+        raw relations with one local bag per such bag, and every server
+        of a plan with bags spent time on them."""
+        plan = self.plans[-1]
+        bags = {b.index for b in plan.hypertree.bags if b.needs_precompute}
+        assert plan.on_server == bags and not plan.precompute
+        schemas, server_bags, timings = self.joins[-1]
+        assert schemas == {name: attrs for name, attrs, _ in plan.relations}
+        assert server_bags == plan.server_bags
+        assert len(server_bags) == len(bags)
+        for rels, order in server_bags:
+            assert set(rels) <= schemas.keys()
+            assert {a for r in rels for a in schemas[r]} == set(order)
+        if bags:
+            assert timings.servers
+            assert all(r.bag_s > 0 for r in timings.servers.values())
 
 
 @pytest.fixture
@@ -121,21 +166,12 @@ def forced_precompute(monkeypatch):
     pricing ``cost_M`` at −∞: each such bag then wins the round it is a
     candidate in, and the plan's relations and shares are priced for the
     bags it runs. Returns a :class:`ForcedPrecompute` record."""
-    import repro.core.adj as adj
-    from repro.core.cost import CostModel
+    return ForcedPrecompute(monkeypatch, "cost_M")
 
-    forced = ForcedPrecompute()
-    optimize, one_round_join = adj.optimize, adj.one_round_join
 
-    def recorded_optimize(*args, **kwargs):
-        forced.plans.append(optimize(*args, **kwargs))
-        return forced.plans[-1]
-
-    def recorded_join(spark, relations, schemas, *args, **kwargs):
-        forced.joins.append({k: tuple(v) for k, v in schemas.items()})
-        return one_round_join(spark, relations, schemas, *args, **kwargs)
-
-    monkeypatch.setattr(CostModel, "cost_M", lambda *_: float("-inf"))
-    monkeypatch.setattr(adj, "optimize", recorded_optimize)
-    monkeypatch.setattr(adj, "one_round_join", recorded_join)
-    return forced
+@pytest.fixture
+def forced_on_server(monkeypatch):
+    """Make Alg. 2 join every bag that can be pre-computed on the servers
+    by pricing ``cost_S`` at −∞, as ``forced_precompute`` prices
+    ``cost_M``. Returns a :class:`ForcedOnServer` record."""
+    return ForcedOnServer(monkeypatch, "cost_S")

@@ -4,17 +4,19 @@
 strategy and reports the phase breakdown of Tables II–IV:
 
 * **Optimization** — GHD search, sampling-based estimation, Alg. 2.
-* **Pre-Computing** — materializing the chosen bags' candidate relations,
+* **Pre-Computing** — materializing the bags Alg. 2 chose to distribute,
   each one emit-mode one-round join (the kernel of the final query) of
   every relation the bag covers.
 * **Communication** — the one-round HCube shuffle of Q_i's relations.
-* **Computation** — the per-server Leapfrog joins.
+* **Computation** — the per-server joins: the bags each server joins
+  from its own tuples (``ServerRecord.bag_s``), then Leapfrog.
 
 The final round runs the plan as Alg. 2 priced it: Q_i's relations, the
-attribute order and the share vector of ``PlanChoice``; nothing is
-derived again. The per-server memory bound ``M`` is derived once per
-test-case from the *original* relations (it models fixed cluster
-hardware): twice the tightest achievable per-server packing. The
+local plan of bags joined on the servers, the attribute order and the
+share vector of ``PlanChoice``; nothing is derived again. The
+per-server memory bound ``M`` is derived once per test-case from the
+*original* relations (it models fixed cluster hardware): twice the
+tightest achievable per-server packing. The
 optimizer solves Q_i's shares under that ``M``, so pre-computation, which
 changes the database, may push it to a different ``p`` — the effect the
 paper observes on (OK, Q6).
@@ -176,6 +178,7 @@ def run_adj(
     report.optimization = time.monotonic() - t0
     report.detail["plan"] = {
         "precompute": sorted(plan.precompute),
+        "on_server": sorted(plan.on_server),
         "order": plan.order,
         "shares": plan.shares.p,
         "traversal": plan.traversal,
@@ -188,8 +191,8 @@ def run_adj(
     report.detail["bag_sizes"] = bag_sizes
 
     # the final round runs the plan: Q_i's relations (a bag's DataFrame
-    # has its join-order columns, edges are read by position), its order
-    # and its shares
+    # has its join-order columns, edges are read by position), the bags
+    # each server joins, its order and its shares
     rels = {name: bag_dfs.get(name, edges) for name, _, _ in plan.relations}
     schemas = {name: attrs for name, attrs, _ in plan.relations}
     try:
@@ -204,6 +207,7 @@ def run_adj(
                 count_only=cfg.count_only,
                 budget_seconds=cfg.budget_seconds,
                 cache_entries=cfg.cache_entries,
+                server_bags=plan.server_bags,
             )
         )
     finally:

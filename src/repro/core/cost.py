@@ -23,10 +23,19 @@ Costs returned are in seconds:
   optimizer (Eq. (3)).
 * ``cost_E^i``   = |T^{v_{i−1}}| / (β_i · N*).
 * ``cost_M(v)``  = γ + ``cost_C`` of the relations the bag covers + its
-  Leapfrog's W_v extensions / (β_raw · N).
+  Leapfrog's W_v extensions / (β_raw · N): a bag pre-computed by a
+  distributed round of its own.
+* ``cost_S(v)``  = W_v / (∏_{A∈v} p_A · β_raw): a bag joined on each
+  server from the raw tuples it received in the final round. A server
+  joins only the part of the bag that matches its coordinates, so the
+  bag's shares divide its work; shares outside the bag replicate it.
+  No γ and no shuffle: the raw relations' ``cost_C`` is paid anyway.
+  Its seconds are part of the Computation column, and each server
+  reports them as ``ServerRecord.bag_s``.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,6 +86,16 @@ class CostModel:
         its Leapfrog over ``work`` extensions (W_v) at ``β_raw``."""
         comm, _ = self.cost_C(attrs, covered)
         return self.gamma + comm + work / (self.beta_raw * self.n_servers)
+
+    def cost_S(
+        self, attrs: Sequence[str], shares: Shares, work: float
+    ) -> float:
+        """Seconds each server spends joining its part of a bag over
+        ``attrs`` from the tuples it received under ``shares``: the bag's
+        ``work`` extensions (W_v) split over its attributes' shares, at
+        ``β_raw``."""
+        cells = math.prod(shares.p.get(a, 1) for a in attrs)
+        return work / (cells * self.beta_raw)
 
 
 # ---------------------------------------------------------------------------

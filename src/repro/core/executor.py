@@ -16,13 +16,22 @@ per-server stage runs straight on the shuffle and is the round's last
 stage; in count mode the driver sums the servers' ``cnt`` rows, so
 no aggregate stage follows it. Each server adds one
 ``ServerRecord`` (the instant it got its tuples, how many it got, its
-trie-build and Leapfrog seconds) to an accumulator keyed by server, and
+trie-build, bag and Leapfrog seconds) to an accumulator keyed by server, and
 the two phases of Tables II–IV are split at the earliest server start:
 Communication runs from the call's start to that instant, Computation
 from it to the job's end. The clocks of the driver and the workers must
 therefore agree, as they do on one machine. The round has one
 wall-clock deadline, ``budget_seconds`` after the call starts, shared by
 every server; passing it is a returned state, not a failed Spark job.
+
+A local plan, ``server_bags``, lets each server join a bag of the query
+from the raw tuples it received before the final Leapfrog
+(:func:`server_join`): HCube sends a server every tuple of a relation
+that matches its coordinates, so its part of the bag needs no other
+server's data. The bag's trie then stands in for the relations it
+covers, and a last level with the bag as its one participant is summed
+from trie ranges (paper §III). The bags' seconds are part of
+Computation, and each server reports them in ``ServerRecord.bag_s``.
 
 The per-server worker first drops the zip importers from
 ``sys.path_importer_cache`` (:func:`_drop_zip_importers`): PySpark calls
@@ -46,8 +55,12 @@ from pyspark.storagelevel import StorageLevel
 
 from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
 from repro.leapfrog.cache import IntersectionCache
-from repro.leapfrog.leapfrog import leapfrog
-from repro.leapfrog.trie import Trie
+from repro.leapfrog.leapfrog import LFResult, leapfrog
+from repro.leapfrog.trie import Trie, trie_for_order
+
+#: a bag joined on each server: the relations it covers, and the
+#: attribute order they are joined in (``PlanChoice.server_bags``)
+ServerBag = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 class ServerRecord(NamedTuple):
@@ -57,6 +70,7 @@ class ServerRecord(NamedTuple):
     tuples: int  # tuples received, over every relation
     build_s: float  # block decode and trie builds
     join_s: float  # Leapfrog
+    bag_s: float  # bag joins and bag tries (``server_bags``)
 
 
 class _Records(AccumulatorParam):
@@ -107,6 +121,57 @@ def _drop_zip_importers() -> None:
             del sys.path_importer_cache[path]
 
 
+def server_join(
+    rows: Mapping[str, np.ndarray],
+    schemas: Mapping[str, tuple[str, ...]],
+    order: tuple[str, ...],
+    server_bags: Sequence[ServerBag] = (),
+    *,
+    emit: bool = False,
+    deadline: float | None = None,
+    cache: IntersectionCache | None = None,
+) -> tuple[LFResult, float, float, float]:
+    """The join one server runs on the tuples it received.
+
+    ``rows[rel]`` holds relation ``rel``'s tuples with their columns in
+    trie order (:func:`order_aligned_attrs`), as the shuffle's blocks
+    arrive. Each bag of ``server_bags`` is first joined by emit-mode
+    Leapfrog from the relations it covers, their columns permuted to the
+    bag's order, and its rows become a trie over their order-aligned
+    attributes; the final Leapfrog runs over ``order`` with the bags'
+    tries in place of the relations they cover. ``deadline`` is a
+    ``time.monotonic()`` instant that stops every Leapfrog run.
+
+    Returns the final Leapfrog's result and the seconds of the raw trie
+    builds, of the bags (joins and tries), and of the final Leapfrog.
+    """
+    t0 = time.monotonic()
+    aligned = {
+        rel: order_aligned_attrs(attrs, order)
+        for rel, attrs in schemas.items()
+    }
+    covered = {rel for rels, _ in server_bags for rel in rels}
+    tries = [
+        Trie(rows[rel], attrs)
+        for rel, attrs in aligned.items()
+        if rel not in covered
+    ]
+    t1 = time.monotonic()
+    for rels, bag_order in server_bags:
+        bag = leapfrog(
+            [
+                trie_for_order(rows[rel], aligned[rel], bag_order)
+                for rel in rels
+            ],
+            bag_order,
+            deadline=deadline,
+        )
+        tries.append(trie_for_order(bag.rows, bag_order, order))
+    t2 = time.monotonic()
+    res = leapfrog(tries, order, emit=emit, deadline=deadline, cache=cache)
+    return res, t1 - t0, t2 - t1, time.monotonic() - t2
+
+
 def _make_worker(
     schemas: dict[str, tuple[str, ...]],
     order: tuple[str, ...],
@@ -114,14 +179,15 @@ def _make_worker(
     deadline: float | None,
     cache_entries: int,
     records: Accumulator,
+    server_bags: tuple[ServerBag, ...] = (),
 ):
     """Build the per-server join function for ``applyInPandas``.
 
     ``deadline`` is the round's one ``time.time()`` instant, shared by
     every server; a server that passes it returns what it has counted so
     far. Each server adds its ``ServerRecord`` to ``records``. The closure
-    captures only plain Python data (schemas, order, knobs) and the
-    accumulator, so it pickles cleanly to executors.
+    captures only plain Python data (schemas, order, local plan, knobs)
+    and the accumulator, so it pickles cleanly to executors.
     """
 
     def worker(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -141,17 +207,14 @@ def _make_worker(
                 for block in blocks
             ]
         rows = {rel: np.concatenate(p) for rel, p in parts.items()}
-        tries = [
-            Trie(rows[rel], order_aligned_attrs(attrs, order))
-            for rel, attrs in schemas.items()
-        ]
-        t1 = time.monotonic()
+        decode_s = time.monotonic() - t0
         cache = IntersectionCache(cache_entries) if cache_entries else None
-        res = leapfrog(
-            tries, order, emit=not count_only, deadline=stop, cache=cache
+        res, build_s, bag_s, join_s = server_join(
+            rows, schemas, order, server_bags,
+            emit=not count_only, deadline=stop, cache=cache,
         )
         tuples = sum(len(r) for r in rows.values())
-        rec = ServerRecord(start, tuples, t1 - t0, time.monotonic() - t1)
+        rec = ServerRecord(start, tuples, decode_s + build_s, join_s, bag_s)
         records.add({int(pdf["server"].iloc[0]): rec})
         if count_only:
             return pd.DataFrame({"cnt": pd.Series([res.count], dtype="int64")})
@@ -171,12 +234,14 @@ def one_round_join(
     count_only: bool = True,
     budget_seconds: float | None = None,
     cache_entries: int = 0,
+    server_bags: Sequence[ServerBag] = (),
 ) -> tuple[int | DataFrame | None, JoinTimings]:
     """Execute the one-round join; returns result (count or DataFrame of
     tuples over ``order``) plus phase timings.
 
     ``relations`` is read by position, one scan per distinct DataFrame,
-    as ``hcube_shuffle`` reads it.
+    as ``hcube_shuffle`` reads it. ``server_bags`` is the local plan:
+    the bags every server joins from its own tuples (:func:`server_join`).
 
     A budget overrun is a result state, not an exception: the round has
     one wall-clock deadline, ``budget_seconds`` after the call starts, at
@@ -197,7 +262,8 @@ def one_round_join(
     )
     joined = shuffled.groupBy("server").applyInPandas(
         _make_worker(
-            schemas, order, count_only, deadline, cache_entries, records
+            schemas, order, count_only, deadline, cache_entries, records,
+            tuple(server_bags),
         ),
         schema=out_schema,
     )

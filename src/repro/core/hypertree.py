@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.query import JoinQuery, Relation
 from repro.lp.simplex import fractional_edge_cover
@@ -85,23 +85,6 @@ class Hypertree:
                     frontier.append(n)
         return seen == idxs
 
-    def traversal_orders(self) -> Iterator[tuple[int, ...]]:
-        """All valid bag traversal orders: every prefix induces a connected
-        subtree (equivalently, Alg. 2 removes only bags whose removal keeps
-        the untraversed part connected)."""
-
-        def rec(prefix: list[int], remaining: set[int]) -> Iterator[tuple[int, ...]]:
-            if not remaining:
-                yield tuple(prefix)
-                return
-            for i in sorted(remaining):
-                if not prefix or any(
-                    i in self.neighbors(p) for p in prefix
-                ):
-                    yield from rec(prefix + [i], remaining - {i})
-
-        return rec([], set(range(len(self.bags))))
-
     def new_attrs(self, order: Sequence[int]) -> list[tuple[str, ...]]:
         """Per-bag attributes not introduced by an earlier bag in ``order``."""
         seen: set[str] = set()
@@ -124,26 +107,6 @@ class Hypertree:
         for new in self.new_attrs(order):
             out.extend(sorted(new, key=lambda a: (-deg[a], a)))
         return tuple(out)
-
-    def valid_attribute_orders(self) -> Iterator[tuple[str, ...]]:
-        """Every attribute order consistent with some valid bag traversal
-        (bag-prefix attributes before later bags' new attributes; new
-        attributes within a bag may permute freely)."""
-        emitted: set[tuple[str, ...]] = set()
-        for order in self.traversal_orders():
-            per_bag = [
-                itertools.permutations(new) for new in self.new_attrs(order)
-            ]
-            for combo in itertools.product(*per_bag):
-                flat = tuple(a for grp in combo for a in grp)
-                if flat not in emitted:
-                    emitted.add(flat)
-                    yield flat
-
-    def is_valid_attribute_order(self, ord_: Sequence[str]) -> bool:
-        """Whether ``ord_`` follows some valid bag traversal order."""
-        target = tuple(ord_)
-        return any(target == cand for cand in self.valid_attribute_orders())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bags = "; ".join(

@@ -2,16 +2,26 @@
 
 Greedy reverse construction of the query plan: starting from the full
 bag set ``V`` of the hypertree, each round fixes which bag is traversed
-*last* among the remaining ones and whether its candidate relation is
-pre-computed, by comparing
+*last* among the remaining ones and how its candidate relation is
+obtained. A multi-relation bag has three variants, each priced per
+candidate ``v`` whose removal keeps the untraversed bags connected (the
+validity condition of §III-A):
 
-``cost' = cost_C(C) + cost_E^i(C, O')``                 (don't pre-compute)
-``cost'' = cost_M(R_v) + cost_C(C ∪ R_v) + cost_E^i(C ∪ R_v, O')``
+* ``raw`` — the final Leapfrog intersects the bag's raw relations:
+  ``cost_C(C) + cost_E^i(O', raw)``;
+* ``distributed`` — the bag is pre-computed by a one-round join of its
+  own and shipped as one relation:
+  ``cost_M(R_v) + cost_C(C ∪ R_v) + cost_E^i(O', pre)``;
+* ``server`` — each server joins its part of the bag from the raw tuples
+  the final round already sends it, then runs the final Leapfrog with
+  the bag's trie in place of the relations it covers:
+  ``cost_C(C) + cost_S(v, p) + cost_E^i(O', pre)``, where ``p`` is the
+  share vector of ``cost_C(C)``. There is no γ, no bag shuffle and no
+  second share solve; the bag's seconds land in the Computation column
+  of Tables II–IV and, per server, in ``ServerRecord.bag_s``.
 
-per candidate ``v`` whose removal keeps the untraversed bags connected
-(the validity condition of §III-A). Only the i-th extension step is
-costed per round — the last Leapfrog steps dominate complex joins
-(paper Fig. 6).
+A single-relation bag is raw. Only the i-th extension step is costed per
+round — the last Leapfrog steps dominate complex joins (paper Fig. 6).
 
 Estimation follows §III-B/§IV:
 
@@ -22,21 +32,24 @@ Estimation follows §III-B/§IV:
   internal order of the prefix is fixed.
 * ``cost_E^i = |T^{v_{i−1}}| / (β_i · N)`` prices the i-th extension
   step, where ``β_i`` is the cost model's ``β_pre`` when ``v`` is
-  pre-computed and ``β_raw`` otherwise, both timed on the Leapfrog
-  kernel (``repro.core.cost``). Both plan variants are thus priced on
+  pre-computed (either way) and ``β_raw`` otherwise, both timed on the
+  Leapfrog kernel (``repro.core.cost``). Every variant is thus priced on
   one scale, and for a given seed the plan depends on the sampled counts
   only, not on the speed of the machine — as long as no sampling call
   reaches its safety cap, ``_Estimator.BUDGET_PER_CALL``.
 * A bag's candidate relation ``R_v`` joins every relation whose schema
-  lies inside the bag (:func:`bag_join`). ``cost_M``'s |R_v| and work
-  W_v are exact: one count-only Leapfrog on the driver counts R_v and
-  its extensions, the kernel and the unit ``β_raw`` is timed in.
+  lies inside the bag (:func:`bag_join`). ``cost_M``'s and ``cost_S``'s
+  |R_v| and work W_v are exact: one count-only Leapfrog on the driver
+  counts R_v and its extensions, the kernel and the unit ``β_raw`` is
+  timed in.
 
 The returned ``PlanChoice`` is what the final round runs: Q_i's
-relations (pre-computed bags with their exact |R_v|, raw relations with
-their sizes), the attribute order, and the share vector of Eq. (3)
-solved on those relations. ``PlanChoice.est["capped"]`` lists the prefix
-estimates (by sampled attribute order) that reached the safety cap.
+relations (distributed bags with their exact |R_v|, raw relations with
+their sizes), the bags each server joins from them, the attribute order,
+and the share vector of Eq. (3) solved on those relations.
+``PlanChoice.est["rounds"]`` names each round's bag, variant and price;
+``PlanChoice.est["capped"]`` lists the prefix estimates (by sampled
+attribute order) that reached the safety cap.
 """
 from __future__ import annotations
 
@@ -44,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.cost import CostModel
+from repro.core.executor import ServerBag
 from repro.core.hypertree import Bag, Hypertree, find_hypertree
 from repro.core.query import JoinQuery, Relation
 from repro.core.sampling import LocalDB, estimate_cardinality_local
@@ -59,12 +73,14 @@ QiRelation = tuple[str, tuple[str, ...], int]
 @dataclass
 class PlanChoice:
     """The optimizer's output, and what the final round runs: the query
-    candidate Q_i's relations, its attribute order and share vector."""
+    candidate Q_i's relations, the bags each server joins from them, its
+    attribute order and share vector."""
 
     query: JoinQuery
     hypertree: Hypertree
     traversal: tuple[int, ...]  # bag indexes in traversal order
-    precompute: frozenset[int]  # bag indexes whose join is materialized
+    precompute: frozenset[int]  # bags materialized by a round of their own
+    on_server: frozenset[int]  # bags each server joins from its tuples
     relations: tuple[QiRelation, ...]  # Q_i, see ``_Estimator.relations``
     order: tuple[str, ...]  # Leapfrog attribute order
     shares: Shares  # HCube share vector for ``relations``
@@ -73,6 +89,21 @@ class PlanChoice:
     @property
     def precomputed_bags(self) -> list[Bag]:
         return [self.hypertree.bags[i] for i in sorted(self.precompute)]
+
+    @property
+    def server_bags(self) -> tuple[ServerBag, ...]:
+        """The final round's local plan: per bag of ``on_server``, the
+        Q_i relations whose schema lies inside it and the order to join
+        them in (:func:`bag_join` over Q_i)."""
+        qi = JoinQuery(
+            self.query.name,
+            [Relation(name, attrs) for name, attrs, _ in self.relations],
+        )
+        out = []
+        for i in sorted(self.on_server):
+            rels, order = bag_join(qi, self.hypertree.bags[i])
+            out.append((tuple(r.name for r in rels), order))
+        return tuple(out)
 
 
 def connected_order(
@@ -209,13 +240,15 @@ def optimize(
         return cm.cost_C(query.attrs, [(attrs, n) for _, attrs, n in rels])
 
     V = set(range(len(tree.bags)))
-    C: frozenset[int] = frozenset()
+    C: frozenset[int] = frozenset()  # distributed bags
+    S: frozenset[int] = frozenset()  # bags joined on the servers
     O_rev: list[int] = []
     round_costs: list[dict] = []
 
     while V:
-        best: tuple[float, int, bool] | None = None  # (cost, v, precompute?)
-        cost_c, _ = cost_C(est.relations(tree, C))  # the same for every v
+        best: tuple[float, int, str] | None = None  # (cost, v, variant)
+        # the same for every v: the raw candidate's shuffle and shares
+        cost_c, shares = cost_C(est.relations(tree, C))
         for v in sorted(V):
             rest = V - {v}
             if rest and not tree.is_connected_subset(rest):
@@ -224,30 +257,34 @@ def optimize(
                 a for i in rest for a in tree.bags[i].attrs
             )
             t_prev = est.prefix_count(prefix_attrs)
-            cost_no = cost_c + cm.cost_E(t_prev, precomputed=False)
-            if best is None or cost_no < best[0]:
-                best = (cost_no, v, False)
+            costs = {"raw": cost_c + cm.cost_E(t_prev, precomputed=False)}
             bag = tree.bags[v]
             if bag.needs_precompute:
+                cost_e = cm.cost_E(t_prev, precomputed=True)
+                work = est.bag(bag)[1]
+                costs["server"] = (
+                    cost_c + cm.cost_S(bag.attrs, shares, work) + cost_e
+                )
                 cost_c2, _ = cost_C(est.relations(tree, C | {v}))
                 covered, _ = bag_join(query, bag)
                 cost_m = cm.cost_M(
                     bag.attrs,
                     [(r.attrs, len(db[r.name][1])) for r in covered],
-                    est.bag(bag)[1],
+                    work,
                 )
-                cost_pre = (
-                    cost_m + cost_c2 + cm.cost_E(t_prev, precomputed=True)
-                )
-                if cost_pre < best[0]:
-                    best = (cost_pre, v, True)
+                costs["distributed"] = cost_m + cost_c2 + cost_e
+            for variant, cost in costs.items():
+                if best is None or cost < best[0]:
+                    best = (cost, v, variant)
         assert best is not None, "hypertree has no valid traversal order"
-        cost, v_star, pre = best
-        if pre:
+        cost, v_star, variant = best
+        if variant == "distributed":
             C = C | {v_star}
+        elif variant == "server":
+            S = S | {v_star}
         O_rev.append(v_star)
         V.remove(v_star)
-        round_costs.append({"bag": v_star, "precompute": pre, "cost": cost})
+        round_costs.append({"bag": v_star, "variant": variant, "cost": cost})
 
     traversal = tuple(reversed(O_rev))
     relations = tuple(est.relations(tree, C))
@@ -257,6 +294,7 @@ def optimize(
         hypertree=tree,
         traversal=traversal,
         precompute=C,
+        on_server=S,
         relations=relations,
         order=tree.attribute_order(traversal),
         shares=shares,

@@ -198,12 +198,17 @@ def _fmt_secs(x: float, timed_out: bool, budget: float) -> str:
 
 
 def _plan_cell(rep: PhaseReport) -> str:
-    """The plan a report ran: pre-computed bags, attribute order and the
-    shares above 1 of its final round (Comm-First pre-computes nothing)."""
+    """The plan a report ran: the bags pre-computed by a round of their
+    own, the bags joined on each server, attribute order and the shares
+    above 1 of its final round (Comm-First pre-computes nothing)."""
     plan = rep.detail["plan"]
     shares = plan["shares"]
+
+    def bags(key: str) -> str:
+        return "{" + ",".join(map(str, plan.get(key, []))) + "}"
+
     return (
-        f"bags {{{','.join(map(str, plan.get('precompute', [])))}}}"
+        f"bags {bags('precompute')}  server bags {bags('on_server')}"
         f"  order {'-'.join(plan['order'])}"
         "  shares "
         + (" ".join(f"{a}:{p}" for a, p in shares.items() if p > 1) or "-")

@@ -14,6 +14,7 @@ from repro.core.query import get_query
 from repro.hcube.shares import derive_memory
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
+from tests.test_hypertree import is_valid_attribute_order
 from tests.test_shares import server_load
 
 
@@ -131,7 +132,7 @@ class TestRunADJ:
         edges = spark.createDataFrame(EDGES)
         rep = run_adj(spark, q, edges, cfg(), cost_model=FAST_CM)
         t = find_hypertree(q)
-        assert t.is_valid_attribute_order(tuple(rep.detail["plan"]["order"]))
+        assert is_valid_attribute_order(t, rep.detail["plan"]["order"])
 
     def test_timeout_reported(self, spark):
         big = tiny_graph_pdf(n_edges=3000, n_nodes=60, seed=8)
@@ -142,6 +143,20 @@ class TestRunADJ:
         )
         assert rep.timed_out
         assert rep.result_count is None
+
+    def test_timeout_with_bags_on_servers(self, spark, forced_on_server):
+        """A round whose servers join bags before the final Leapfrog
+        overruns its budget as a returned state, not a failed job."""
+        big = tiny_graph_pdf(n_edges=3000, n_nodes=60, seed=8)
+        q = get_query("Q4")
+        edges = spark.createDataFrame(big)
+        rep = run_adj(
+            spark, q, edges, cfg(budget_seconds=1e-4), cost_model=FAST_CM
+        )
+        forced_on_server.check_last_run()
+        assert rep.timed_out
+        assert rep.result_count is None
+        assert forced_on_server.joins[-1][2].timed_out
 
 
 class _BagDF:
@@ -159,18 +174,22 @@ class TestRunADJWiring:
     relations, attribute order and share vector, and derives none of them
     again."""
 
-    @pytest.mark.parametrize("bag", [None, "abe"])
-    def test_final_round_runs_the_plan(self, monkeypatch, bag):
+    @staticmethod
+    def _run(monkeypatch, distributed=None, on_server=None):
+        """``run_adj`` on Q4 with its one-round joins stubbed; the bag
+        over ``distributed`` is priced at −∞ as a round of its own, the
+        bag over ``on_server`` as joined on the servers, every other
+        variant of a multi-relation bag at ∞. Returns the plan, the final
+        round's arguments and the report."""
         import repro.core.adj as adj
 
-        # pre-compute ``bag`` alone: its cost_M is −∞, any other bag's ∞
-        monkeypatch.setattr(
-            CostModel,
-            "cost_M",
-            lambda self, attrs, *_: -math.inf
-            if bag and set(attrs) == set(bag)
-            else math.inf,
-        )
+        def priced(bag):
+            return lambda self, attrs, *_: (
+                -math.inf if bag and set(attrs) == set(bag) else math.inf
+            )
+
+        monkeypatch.setattr(CostModel, "cost_M", priced(distributed))
+        monkeypatch.setattr(CostModel, "cost_S", priced(on_server))
         plans, precomputes, joins = [], [], []
         optimize_ = adj.optimize
 
@@ -189,16 +208,16 @@ class TestRunADJWiring:
             return dfs, {name: 10**9 for name in dfs}
 
         def one_round_join(spark, relations, schemas, order, shares, **kw):
-            joins.append((relations, schemas, order, shares))
+            joins.append((relations, schemas, order, shares, kw))
             return 7, JoinTimings(result_count=7)
 
         monkeypatch.setattr(adj, "optimize", recorded_optimize)
         monkeypatch.setattr(adj, "precompute_bags", precompute_bags)
         monkeypatch.setattr(adj, "one_round_join", one_round_join)
-        q, edges = get_query("Q4"), object()
+        edges = object()
         rep = run_adj(
             None,
-            q,
+            get_query("Q4"),
             edges,
             cfg(),
             cost_model=FAST_CM,
@@ -206,8 +225,7 @@ class TestRunADJWiring:
         )
         (plan,) = plans
         assert precomputes == [plan]
-        assert plan.precompute == ({0} if bag else set())
-        ((relations, schemas, order, shares),) = joins
+        ((relations, schemas, order, shares, kw),) = joins
         assert list(schemas) == [name for name, _, _ in plan.relations]
         assert schemas == {name: attrs for name, attrs, _ in plan.relations}
         for name, df in relations.items():
@@ -217,7 +235,25 @@ class TestRunADJWiring:
                 assert df is edges
         assert order == plan.order
         assert shares == plan.shares.p == rep.detail["plan"]["shares"]
+        assert kw["server_bags"] == plan.server_bags
         assert rep.result_count == 7
+        return plan, kw, rep
+
+    @pytest.mark.parametrize("bag", [None, "abe"])
+    def test_final_round_runs_the_plan(self, monkeypatch, bag):
+        plan, kw, _ = self._run(monkeypatch, distributed=bag)
+        assert plan.precompute == ({0} if bag else set())
+        assert plan.on_server == set() and kw["server_bags"] == ()
+
+    def test_final_round_runs_bags_on_servers(self, monkeypatch):
+        """A bag joined on the servers reaches the final round as its
+        local plan: the raw relations it covers, R6 among them, and its
+        join order; Q_i keeps those raw relations."""
+        plan, kw, rep = self._run(monkeypatch, on_server="abe")
+        assert plan.precompute == set() and plan.on_server == {0}
+        assert kw["server_bags"] == ((("R1", "R5", "R6"), ("a", "b", "e")),)
+        assert not any(n.startswith("bag") for n, _, _ in plan.relations)
+        assert rep.detail["plan"]["on_server"] == [0]
 
 
 class TestDeriveMemory:

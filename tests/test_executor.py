@@ -1,5 +1,6 @@
 """Tests for the one-round executor (HCube + per-server Leapfrog); the
 per-server worker is also tested on its own, without Spark."""
+import itertools
 import sys
 import time
 import zipfile
@@ -15,9 +16,14 @@ from repro.core.executor import (
     _drop_zip_importers,
     _make_worker,
     one_round_join,
+    server_join,
 )
+from repro.core.hypertree import find_hypertree
+from repro.core.optimizer import bag_join
 from repro.core.query import get_query
 from repro.hcube.shuffle import MODES, order_aligned_attrs
+from repro.leapfrog.leapfrog import leapfrog
+from repro.leapfrog.trie import Trie
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
 from tests.test_shares import dup
@@ -317,7 +323,7 @@ class TestWorker:
 
     def test_reports_one_record(self):
         """A server reports its start, the tuples it received and its
-        trie-build and Leapfrog seconds, keyed by its server id."""
+        trie-build, bag and Leapfrog seconds, keyed by its server id."""
         edges = tiny_graph_pdf()
         schemas, pdf = self._frame(edges)
         pdf["server"] = 3
@@ -329,6 +335,25 @@ class TestWorker:
         assert before <= rec.start <= time.time()
         assert rec.tuples == len(schemas) * len(edges)
         assert rec.build_s >= 0 and rec.join_s >= 0
+        assert rec.bag_s >= 0
+
+    @pytest.mark.parametrize("count_only", [True, False])
+    def test_bag_on_server_same_result(self, count_only):
+        """Q1's one bag joined on the server, in an order other than the
+        round's, then read as one trie: the raw relations' result."""
+        schemas, pdf = self._frame(tiny_graph_pdf())
+        raw = self._run(schemas, pdf, count_only)
+        sink = _Sink()
+        worker = _make_worker(
+            schemas, self.ORDER, count_only, None, 0, sink,
+            ((tuple(schemas), ("c", "a", "b")),),
+        )
+        out = worker(pdf)
+        assert len(raw) and sink.value[0].bag_s > 0
+        pd.testing.assert_frame_equal(
+            out.sort_values(list(out.columns), ignore_index=True),
+            raw.sort_values(list(raw.columns), ignore_index=True),
+        )
 
     def test_missing_relation_counts_zero(self):
         schemas, pdf = self._frame(tiny_graph_pdf(), drop=("R3",))
@@ -379,3 +404,96 @@ def test_shuffled_tuples_match_dup_formula(spark, mode):
     )
     # U ⋈ R ⋈ T: every (a, b) with a < 5, b < 3 meets the 6 T rows of b
     assert cnt == 5 * 3 * 6
+
+
+def hcube_fragments(rows, schemas, order, shares):
+    """Each server's tuples of each relation of a graph query, as the
+    HCube shuffle routes them (``h_A(x) = x mod p_A``), their columns in
+    trie order: one ``{rel: rows}`` per server coordinate."""
+    out = []
+    for coord in itertools.product(*(range(shares[a]) for a in order)):
+        at = dict(zip(order, coord))
+        frag = {}
+        for rel, attrs in schemas.items():
+            keep = np.ones(len(rows), dtype=bool)
+            for i, a in enumerate(attrs):
+                keep &= rows[:, i] % shares[a] == at[a]
+            cols = [attrs.index(a) for a in order_aligned_attrs(attrs, order)]
+            frag[rel] = rows[keep][:, cols]
+        out.append(frag)
+    return out
+
+
+class TestServerJoin:
+    """Spark-free: a server's join with its bags joined from its own
+    tuples equals Leapfrog over its raw relations."""
+
+    ORDER = tuple("bcdea")
+    SHARES = {"a": 1, "b": 2, "c": 1, "d": 1, "e": 2}
+
+    @staticmethod
+    def _raw(frag, schemas, order, emit):
+        tries = [
+            Trie(frag[rel], order_aligned_attrs(attrs, order))
+            for rel, attrs in schemas.items()
+        ]
+        return leapfrog(tries, order, emit=emit)
+
+    def _q4(self):
+        q = get_query("Q4")
+        schemas = {r.name: r.attrs for r in q.relations}
+        bags = tuple(
+            (tuple(r.name for r in rels), order)
+            for rels, order in (
+                bag_join(q, b) for b in find_hypertree(q).bags
+                if b.needs_precompute
+            )
+        )
+        rows = tiny_graph_pdf(n_edges=600, n_nodes=60, seed=9)[
+            ["src", "dst"]
+        ].to_numpy()
+        return schemas, bags, hcube_fragments(
+            rows, schemas, self.ORDER, self.SHARES
+        )
+
+    @pytest.mark.parametrize("n_bags", [1, 3])
+    def test_equals_raw_leapfrog_on_hcube_fragments(self, n_bags):
+        """Every server of Q4 under b:2 e:2 counts and emits what raw
+        Leapfrog does; a bag's order ({a,b,e} joins as a-b-e) is not the
+        round's (b-…-e-a), so the fragments' columns are permuted."""
+        schemas, bags, frags = self._q4()
+        bags = bags[:n_bags]
+        assert bags[0] == (("R1", "R5", "R6"), ("a", "b", "e"))
+        total = 0
+        for frag in frags:
+            raw = self._raw(frag, schemas, self.ORDER, emit=True)
+            res, build_s, bag_s, join_s = server_join(
+                frag, schemas, self.ORDER, bags, emit=True
+            )
+            assert res.count == raw.count
+            np.testing.assert_array_equal(
+                np.unique(res.rows, axis=0), np.unique(raw.rows, axis=0)
+            )
+            counted, *_ = server_join(frag, schemas, self.ORDER, bags)
+            assert counted.count == raw.count
+            assert min(build_s, bag_s, join_s) >= 0
+            total += raw.count
+        assert total > 0
+
+    def test_server_without_a_covered_relation(self):
+        """A server that received no tuple of R6, which {a,b,e} covers,
+        joins an empty bag and counts nothing, as raw Leapfrog does."""
+        schemas, bags, frags = self._q4()
+        frag = dict(frags[0])
+        assert self._raw(frag, schemas, self.ORDER, emit=False).count > 0
+        frag["R6"] = frag["R6"][:0]
+        res, *_ = server_join(frag, schemas, self.ORDER, bags[:1], emit=True)
+        assert res.count == 0 and res.rows.shape == (0, 5)
+        assert self._raw(frag, schemas, self.ORDER, emit=False).count == 0
+
+    def test_passed_deadline_counts_nothing(self):
+        schemas, bags, frags = self._q4()
+        res, *_ = server_join(
+            frags[0], schemas, self.ORDER, bags, deadline=time.monotonic() - 1
+        )
+        assert res.count == 0

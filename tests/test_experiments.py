@@ -82,6 +82,7 @@ class TestCooptHarness:
         co.detail = {
             "plan": {
                 "precompute": [0, 2],
+                "on_server": [1],
                 "order": ("b", "d", "e", "c", "a"),
                 "shares": {"a": 1, "b": 4, "c": 1, "d": 1, "e": 1},
             },
@@ -103,10 +104,10 @@ class TestCooptHarness:
         cf_at = lines.index(
             next(x for x in lines if x.startswith("Q4  Comm-First"))
         )
-        assert "bags {0,2}" in lines[co_at + 1]
+        assert "bags {0,2}  server bags {1}" in lines[co_at + 1]
         assert "order b-d-e-c-a" in lines[co_at + 1]
         assert "shares b:4" in lines[co_at + 1]
-        assert "bags {}" in lines[cf_at + 1]
+        assert "bags {}  server bags {}" in lines[cf_at + 1]
         assert "order e-b-a-d-c" in lines[cf_at + 1]
         assert "shares b:2 e:2" in lines[cf_at + 1]
 

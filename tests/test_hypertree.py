@@ -1,4 +1,12 @@
-"""Unit tests for the GHD search (paper §III-A)."""
+"""Unit tests for the GHD search (paper §III-A).
+
+The valid traversal and attribute orders of §III-A are enumerated here,
+as an oracle: the optimizer builds one order by Alg. 2's greedy rounds,
+and the tests check it, and the Fig. 8 shape, against the whole class.
+"""
+import itertools
+from typing import Iterator, Sequence
+
 import pytest
 
 from repro.core.hypertree import (
@@ -7,6 +15,40 @@ from repro.core.hypertree import (
     find_hypertree,
 )
 from repro.core.query import JoinQuery, Relation, get_query, q1, q3, q4
+
+
+def traversal_orders(t: Hypertree) -> Iterator[tuple[int, ...]]:
+    """All valid bag traversal orders of ``t``: every prefix induces a
+    connected subtree (equivalently, Alg. 2 removes only bags whose
+    removal keeps the untraversed part connected)."""
+
+    def rec(prefix: list[int], remaining: set[int]):
+        if not remaining:
+            yield tuple(prefix)
+            return
+        for i in sorted(remaining):
+            if not prefix or any(i in t.neighbors(p) for p in prefix):
+                yield from rec(prefix + [i], remaining - {i})
+
+    return rec([], set(range(len(t.bags))))
+
+
+def valid_attribute_orders(t: Hypertree) -> set[tuple[str, ...]]:
+    """Every attribute order consistent with some valid bag traversal
+    (bag-prefix attributes before later bags' new attributes; new
+    attributes within a bag may permute freely)."""
+    return {
+        tuple(a for grp in combo for a in grp)
+        for order in traversal_orders(t)
+        for combo in itertools.product(
+            *(itertools.permutations(new) for new in t.new_attrs(order))
+        )
+    }
+
+
+def is_valid_attribute_order(t: Hypertree, order: Sequence[str]) -> bool:
+    """Whether ``order`` follows some valid bag traversal order of ``t``."""
+    return tuple(order) in valid_attribute_orders(t)
 
 
 def paper_example_query() -> JoinQuery:
@@ -101,18 +143,18 @@ class TestFindHypertree:
 class TestTraversalOrders:
     def test_prefix_connected(self):
         t = find_hypertree(paper_example_query())
-        for order in t.traversal_orders():
+        for order in traversal_orders(t):
             for i in range(1, len(order) + 1):
                 assert t.is_connected_subset(set(order[:i]))
 
     def test_all_bags_once(self):
         t = find_hypertree(get_query("Q4"))
-        for order in t.traversal_orders():
+        for order in traversal_orders(t):
             assert sorted(order) == list(range(len(t.bags)))
 
     def test_attribute_order_is_permutation(self):
         t = find_hypertree(get_query("Q5"))
-        for order in t.traversal_orders():
+        for order in traversal_orders(t):
             ao = t.attribute_order(order)
             assert sorted(ao) == sorted(t.query.attrs)
 
@@ -120,18 +162,18 @@ class TestTraversalOrders:
         """§III-A example: for Fig. 5 with traversal v_a ≺ v_b ≺ v_c,
         a≺b≺c≺d≺e is valid and a≺b≺e≺d≺c is invalid."""
         t = find_hypertree(paper_example_query())
-        valid = set(t.valid_attribute_orders())
+        valid = valid_attribute_orders(t)
         assert ("a", "b", "c", "d", "e") in valid
         assert ("a", "b", "e", "d", "c") not in valid
 
     def test_is_valid_attribute_order(self):
         t = find_hypertree(paper_example_query())
-        assert t.is_valid_attribute_order(("a", "b", "c", "d", "e"))
-        assert not t.is_valid_attribute_order(("a", "b", "e", "d", "c"))
+        assert is_valid_attribute_order(t, ("a", "b", "c", "d", "e"))
+        assert not is_valid_attribute_order(t, ("a", "b", "e", "d", "c"))
 
     def test_new_attrs_partition(self):
         t = find_hypertree(get_query("Q6"))
-        for order in t.traversal_orders():
+        for order in traversal_orders(t):
             news = t.new_attrs(order)
             flat = [a for grp in news for a in grp]
             assert sorted(flat) == sorted(t.query.attrs)

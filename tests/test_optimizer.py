@@ -22,6 +22,7 @@ from repro.synth_data import (
     graph_edges_pdf,
     tiny_graph_pdf,
 )
+from tests.test_hypertree import is_valid_attribute_order
 
 
 def db_for(qname, edges):
@@ -56,7 +57,7 @@ class TestOptimize:
     def test_attribute_order_is_hypertree_valid(self):
         q, db = db_for("Q5", tiny_graph_pdf())
         plan = optimize(q, db, model(), sample_k=30)
-        assert plan.hypertree.is_valid_attribute_order(plan.order)
+        assert is_valid_attribute_order(plan.hypertree, plan.order)
 
     def test_precompute_only_multi_relation_bags(self):
         q, db = db_for("Q6", tiny_graph_pdf())
@@ -296,11 +297,12 @@ class TestPrefixOrder:
 
 
 #: the plans of the LJ×1e-4 benchmark graphs under TestDeterminism's
-#: model: pre-computed bags, attribute order, shares above 1
+#: model: distributed bags, bags joined on the servers, attribute order,
+#: shares above 1
 LJ_1E4_PLANS = {
-    "Q4": ([], tuple("bcdea"), {"b": 2, "e": 2}),
-    "Q5": ([], tuple("bdeac"), {"b": 2, "e": 2}),
-    "Q6": ([], tuple("beacd"), {"b": 2, "e": 2}),
+    "Q4": ([], [0], tuple("bcdea"), {"b": 2, "e": 2}),
+    "Q5": ([], [0], tuple("bdeca"), {"b": 2, "e": 2}),
+    "Q6": ([], [], tuple("beacd"), {"b": 2, "e": 2}),
 }
 
 
@@ -345,6 +347,7 @@ class TestDeterminism:
             p = optimize(q, db, cm, sample_k=60, seed=14)
             return (
                 sorted(p.precompute),
+                sorted(p.on_server),
                 p.order,
                 p.shares.p,
                 p.est["rounds"],
@@ -367,9 +370,10 @@ class TestDeterminism:
             budget = plan()
         assert slow == base
         assert budget == base
-        precompute, order, shares = LJ_1E4_PLANS[qname]
-        assert base[:3] == (
+        precompute, on_server, order, shares = LJ_1E4_PLANS[qname]
+        assert base[:4] == (
             precompute,
+            on_server,
             order,
             {a: shares.get(a, 1) for a in q.attrs},
         )

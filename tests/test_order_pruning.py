@@ -16,6 +16,7 @@ from repro.core.query import get_query
 from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import trie_for_order
 from repro.synth_data import tiny_graph_pdf
+from tests.test_hypertree import traversal_orders, valid_attribute_orders
 
 
 _MEMO: dict = {}
@@ -43,7 +44,7 @@ def test_valid_max_below_invalid_max(qname, edges):
     """Fig. 8: Valid-Max ≤ Invalid-Max for Q4–Q6."""
     q = get_query(qname)
     t = find_hypertree(q)
-    valid = set(t.valid_attribute_orders())
+    valid = valid_attribute_orders(t)
     all_orders = set(itertools.permutations(q.attrs))
     invalid = all_orders - valid
     assert valid and invalid
@@ -58,9 +59,9 @@ def test_valid_selected_no_worse_than_valid_max(qname, edges):
     Valid-Max by construction; check it is also far from Invalid-Max."""
     q = get_query(qname)
     t = find_hypertree(q)
-    valid = set(t.valid_attribute_orders())
+    valid = valid_attribute_orders(t)
     # ADJ's default pick: attribute_order of the first traversal order
-    selected = t.attribute_order(next(t.traversal_orders()))
+    selected = t.attribute_order(next(traversal_orders(t)))
     assert selected in valid
     sel = intermediate_total(qname, edges, selected)
     valid_max = max(intermediate_total(qname, edges, o) for o in valid)
@@ -73,5 +74,5 @@ def test_triangle_orders_constant(edges):
     the valid class covers all orders for Q1."""
     q = get_query("Q1")
     t = find_hypertree(q)
-    valid = set(t.valid_attribute_orders())
+    valid = valid_attribute_orders(t)
     assert valid == set(itertools.permutations(q.attrs))
